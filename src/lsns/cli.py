@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 
 import click
 
@@ -21,12 +22,19 @@ EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 
 
-def _load_config(path) -> ExperimentConfig:
+@contextmanager
+def _config_errors_exit():
+    """Report a ConfigurationError on stderr and exit with EXIT_CONFIG."""
     try:
-        return ExperimentConfig.load(path)
+        yield
     except ConfigurationError as err:
         click.echo(f"configuration error: {err}", err=True)
         sys.exit(EXIT_CONFIG)
+
+
+def _load_config(path) -> ExperimentConfig:
+    with _config_errors_exit():
+        return ExperimentConfig.load(path)
 
 
 @click.group()
@@ -42,11 +50,8 @@ def run(config, no_resume):
     from .ensemble import run_experiment
 
     cfg = _load_config(config)
-    try:
+    with _config_errors_exit():
         summary = run_experiment(cfg, resume=not no_resume)
-    except ConfigurationError as err:
-        click.echo(f"configuration error: {err}", err=True)
-        sys.exit(EXIT_CONFIG)
     click.echo(json.dumps(summary, indent=2, sort_keys=True))
     if summary["paths_completed"] < summary["paths_requested"] / 2:
         sys.exit(EXIT_BLOWUP)
@@ -62,12 +67,9 @@ def replay(manifest, diagnostics, output):
     """Recompute diagnostics from stored snapshots (DIAGNOSTICS: JSON spec)."""
     from .ensemble import replay as replay_run
 
-    try:
+    with _config_errors_exit():
         spec = json.loads(open(diagnostics).read())
         written = replay_run(manifest, spec, output)
-    except ConfigurationError as err:
-        click.echo(f"configuration error: {err}", err=True)
-        sys.exit(EXIT_CONFIG)
     click.echo(json.dumps(written, indent=2))
 
 
@@ -77,12 +79,9 @@ def replay(manifest, diagnostics, output):
 @click.option("--n", default=None, type=int, help="truncation level (default N(eps))")
 def validate_noise(config, samples, n):
     """Run the growth/tail/vorticity validators for the configured family."""
-    import numpy as np
-
-    from .config import initial_field
     from .noise import (validate_linear_growth, validate_tail_decay,
                         validate_vorticity_control)
-    from .spectral import SpectralField, dealias, forward_transform, leray_project
+    from .spectral import random_solenoidal
 
     cfg = _load_config(config)
     model = cfg.noise_model()
@@ -92,14 +91,7 @@ def validate_noise(config, samples, n):
     grid = cfg.grid()
     level = n if n is not None else min(cfg.run_params(0).truncation.n, model.max_k)
     ens = cfg.ensemble_block()
-    fields = []
-    for i in range(samples):
-        gen = np.random.Generator(np.random.Philox(key=ens["seed"] + 7000 + i))
-        f = dealias(leray_project(forward_transform(
-            grid, gen.standard_normal((3, grid.m, grid.m, grid.m)))))
-        c = f.coeffs.copy()
-        c[:, 0, 0, 0] = 0.0
-        fields.append(SpectralField(grid, c))
+    fields = [random_solenoidal(grid, ens["seed"] + 7000 + i) for i in range(samples)]
     growth = validate_linear_growth(model, fields, level)
     nvals = sorted({max(1, level // 4), max(2, level // 2), level, model.max_k})
     tails = validate_tail_decay(model, fields, nvals)
@@ -142,11 +134,8 @@ def report(directory):
     """Aggregate an ensemble directory into plot-ready CSV/JSON."""
     from .ensemble import report as report_run
 
-    try:
+    with _config_errors_exit():
         payload = report_run(directory)
-    except ConfigurationError as err:
-        click.echo(f"configuration error: {err}", err=True)
-        sys.exit(EXIT_CONFIG)
     click.echo(json.dumps(payload["summary"], indent=2, sort_keys=True))
     for name, path in payload["ensemble_csv"].items():
         click.echo(f"wrote {path}")

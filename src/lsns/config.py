@@ -14,14 +14,15 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dissipation import DRConfig
+from .dissipation import DRConfig, DRLedger
+from .energy import XI_FUNCTIONALS, EnergyLedger, Event
 from .errors import ConfigurationError
 from .integrate import RunParams
 from .noise import KINDS as NOISE_KINDS
 from .noise import NoiseModel, make_noise_model
-from .spectral import Grid
+from .spectral import Grid, random_solenoidal, taylor_green
 from .testfunc import SpatialBump, TemporalWindow, TestFunction
-from .vorticity import HFunction
+from .vorticity import HFunction, VorticityLedger
 
 SCHEMA_VERSION = 1
 
@@ -63,10 +64,9 @@ class ExperimentConfig:
         # eager validation of every cross-referenced object
         cfg.run_params(path_id=0)
         cfg.noise_model()
-        cfg.test_functions()
         cfg.events()
-        cfg.dr_config()
-        cfg.h_function()
+        cfg.ledgers()
+        cfg.xi_functionals()
         return cfg
 
     @classmethod
@@ -137,12 +137,9 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"noise.coefficient_files[{i}]: wrong field kind for {kind}"
                 )
-        tail = _opt(block, "tail_beyond_max_k", 0.0)
-        if want_scalar:
-            return NoiseModel(kind, grid, len(fields), scalar_fields=tuple(fields),
-                              tail_beyond_max_k=tail, decay_note="loaded from files")
-        return NoiseModel(kind, grid, len(fields), vector_fields=tuple(fields),
-                          tail_beyond_max_k=tail, decay_note="loaded from files")
+        stored = {"scalar_fields" if want_scalar else "vector_fields": tuple(fields)}
+        return NoiseModel(kind, grid, len(fields), **stored, decay_note="loaded from files",
+                          tail_beyond_max_k=_opt(block, "tail_beyond_max_k", 0.0))
 
     def diagnostics(self) -> dict:
         return self.raw.get("diagnostics", {})
@@ -174,9 +171,7 @@ class ExperimentConfig:
             out[name] = TestFunction(spatial, temporal, label=name)
         return out
 
-    def events(self):
-        from .energy import Event
-
+    def events(self) -> list[Event]:
         out = []
         for i, spec in enumerate(self.diagnostics().get("events", [{"kind": "all"}])):
             kind = _need(spec, "kind", str, f"events[{i}]")
@@ -200,6 +195,31 @@ class ExperimentConfig:
         if block is None:
             return None
         return HFunction(_opt(block, "delta", 0.5))
+
+    def ledgers(self) -> list:
+        """The ledger plan: fresh ledgers for one path, in record order (one
+        energy ledger per test function, then vorticity, then dissipation
+        paired with the first test function)."""
+        phis = list(self.test_functions().values())
+        out = [EnergyLedger(phi) for phi in phis]
+        hf = self.h_function()
+        if hf is not None:
+            out.append(VorticityLedger(hf))
+        drc = self.dr_config()
+        if drc is not None:
+            if not phis:
+                raise ConfigurationError("diagnostics.dissipation: needs a test function")
+            out.append(DRLedger(phis[0], drc))
+        return out
+
+    def xi_functionals(self) -> dict:
+        """The LEI path functionals named in diagnostics.lei_xi."""
+        out = {}
+        for name in self.diagnostics().get("lei_xi", []):
+            if name not in XI_FUNCTIONALS:
+                raise ConfigurationError(f"diagnostics.lei_xi: unknown functional {name!r}")
+            out[name] = XI_FUNCTIONALS[name]
+        return out
 
     def ensemble_block(self) -> dict:
         ens = self.raw["ensemble"]
@@ -231,6 +251,14 @@ class ExperimentConfig:
     def digest(self) -> str:
         return hashlib.sha256(self.canonical().encode()).hexdigest()
 
+    def results_digest(self) -> str:
+        """SHA-256 of the blocks that determine a path's numbers: run, noise,
+        diagnostics and the ensemble seed (not output, path or worker counts)."""
+        raw = self.raw
+        doc = {"run": raw["run"], "noise": raw.get("noise"),
+               "diagnostics": raw.get("diagnostics"), "seed": raw["ensemble"].get("seed")}
+        return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+
 
 def canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -238,32 +266,15 @@ def canonical_json(doc: dict) -> str:
 
 def initial_field(cfg: ExperimentConfig):
     """Build the configured initial condition on the configured grid."""
-    import numpy as np
-
-    from .spectral import SpectralField, forward_transform, leray_project, dealias
-
     spec = cfg.initial_condition_spec()
     grid = cfg.grid()
     kind = spec.get("kind", "taylor_green")
     amp = float(spec.get("amplitude", 1.0))
     if kind == "taylor_green":
-        x = grid.points()
-        u = np.empty((3, grid.m, grid.m, grid.m))
-        u[0] = np.sin(2 * np.pi * x[0]) * np.cos(2 * np.pi * x[1]) * np.cos(2 * np.pi * x[2])
-        u[1] = -np.cos(2 * np.pi * x[0]) * np.sin(2 * np.pi * x[1]) * np.cos(2 * np.pi * x[2])
-        u[2] = 0.0
-        return forward_transform(grid, amp * u)
+        return taylor_green(grid, amp)
     if kind == "random_solenoidal":
-        seed = int(spec.get("seed", 7))
-        gen = np.random.Generator(np.random.Philox(key=seed))
-        samples = amp * gen.standard_normal((3, grid.m, grid.m, grid.m))
-        f = dealias(leray_project(forward_transform(grid, samples)))
-        c = f.coeffs.copy()
-        c[:, 0, 0, 0] = 0.0
-        smooth = float(spec.get("smooth", 0.0))
-        if smooth > 0:
-            c *= np.exp(-smooth * grid.k2)
-        return SpectralField(grid, c)
+        return random_solenoidal(grid, int(spec.get("seed", 7)), amp,
+                                 float(spec.get("smooth", 0.0)))
     if kind == "snapshot":
         from .persist import read_snapshot
 

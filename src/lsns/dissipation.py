@@ -13,7 +13,9 @@ indices, the Fourier-route integrand is
 an exact identity for divergence-free u when every product is alias-free.
 All spectra here are computed on the 2M grid, which resolves even the triple
 products exactly under the strict 3K+1 <= M cutoff rule, so the pointwise
-residual of the identity is at roundoff level.
+residual of the identity is at roundoff level. One kernel (``DRKernel``)
+evaluates the four terms for ``dr_integrand``, the identity check and the
+time-integrated ledger alike.
 
 The defining displacement integral (1/4) int grad(alpha_l)(y) . delta_y u
 |delta_y u|^2 dy is also provided as a quadrature oracle on a tensor
@@ -23,13 +25,16 @@ and compactly supported inside the quadrature box).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import scipy.fft as sfft
 
+from .energy import SupermartingaleReport, one_sided_test
 from .errors import ConfigurationError
 from .mollifier import bump_mass, multiplier_on_modes
+from .persist import atomic_write_json
 from .spectral import Grid, ScalarField, SpectralField, synthesize
 from .stepview import StepView
 from .testfunc import TestFunction
@@ -56,96 +61,91 @@ class DRConfig:
             raise ConfigurationError("displacement quadrature needs >= 4 points per axis")
 
     def validate_resolution(self, grid: Grid):
-        # kernel support diameter 2*ell must span at least two grid cells
-        lo = 1.0 / grid.m
         for v in self.ell_values:
-            if v < lo:
-                raise ConfigurationError(
-                    f"ell={v} under-resolved on M={grid.m} (need support 2*ell >= 2/M)"
-                )
+            _check_ell(v, grid)
 
 
 def _check_ell(ell: float, grid: Grid):
+    # kernel support diameter 2*ell must span at least two grid cells
     if not (1.0 / grid.m <= ell <= 0.25):
         raise ConfigurationError(
             f"ell={ell} outside the resolved range [1/M, 1/4] on M={grid.m}"
         )
 
 
-class _DRFields:
-    """Shared spectral machinery for the D^l terms on the 2M work grid."""
-
-    def __init__(self, u: SpectralField, ell: float, kind: str):
-        g = u.grid
-        _check_ell(ell, g)
-        self.p = 2 * g.m
-        p = self.p
-        n1 = np.fft.fftfreq(p, d=1.0 / p)
-        nx, ny, nz = np.meshgrid(n1, n1, n1, indexing="ij")
-        self.n = np.stack([nx, ny, nz])
-        k2 = nx * nx + ny * ny + nz * nz
-        self.mult = multiplier_on_modes(kind, ell, k2, raw=True)
-        self.u = synthesize(u, p)
-        self.usq = np.sum(self.u * self.u, axis=0)
-
-    def fft(self, vals):
-        return sfft.fftn(vals, axes=(-3, -2, -1)) / self.p**3
-
-    def ifft(self, spec):
-        return sfft.ifftn(spec * self.p**3, axes=(-3, -2, -1)).real
-
-    def smooth(self, vals):
-        """Pointwise values -> mollified spectrum (exact on the work grid)."""
-        return self.fft(vals) * self.mult
-
-    def dsmooth_values(self, vals, i):
-        """d_i (vals)_l evaluated pointwise."""
-        return self.ifft(2j * np.pi * self.n[i] * self.smooth(vals))
+def _fft(vals):
+    return sfft.fftn(vals, axes=(-3, -2, -1)) / vals.shape[-1] ** 3
 
 
-def _four_terms(f: _DRFields):
-    """The four Fourier-route terms of 4 D^l(u), pointwise on the work grid."""
-    t1 = np.zeros_like(f.usq)
-    for i in range(3):
-        t1 += f.u[i] * f.dsmooth_values(f.usq, i)
-    t2 = np.zeros_like(f.usq)
-    for i in range(3):
-        t2 -= f.dsmooth_values(f.u[i] * f.usq, i)
-    t3 = np.zeros_like(f.usq)
-    for i in range(3):
-        for j in range(3):
-            t3 += 2.0 * f.u[j] * f.dsmooth_values(f.u[i] * f.u[j], i)
-    t4 = np.zeros_like(f.usq)
-    for j in range(3):
-        uj_l = f.fft(f.u[j]) * f.mult
+def _ifft(spec):
+    return sfft.ifftn(spec * spec.shape[-1] ** 3, axes=(-3, -2, -1)).real
+
+
+class DRKernel:
+    """The Fourier-route terms of 4 D^l(u) for one state on a work grid.
+
+    Construction transforms the products every scale shares, once: u,
+    |u|^2, u_i u_j (i <= j) and u_i |u|^2 (11 forward FFTs). ``terms``
+    then evaluates the four pointwise terms at one scale from its kernel
+    multiplier (24 inverse FFTs).
+    """
+
+    def __init__(self, u_phys: np.ndarray, usq: np.ndarray):
+        p = u_phys.shape[-1]
+        self.p = p
+        self.n = Grid(p).wavenumbers
+        self.u, self.usq = u_phys, usq
+        self.usq_hat = _fft(usq)
+        self.pair_hat = np.empty((3, 3, p, p, p), dtype=complex)
         for i in range(3):
-            t4 -= 2.0 * f.u[i] * f.u[j] * f.ifft(2j * np.pi * f.n[i] * uj_l)
-    return t1, t2, t3, t4
+            for j in range(i, 3):
+                self.pair_hat[i, j] = self.pair_hat[j, i] = _fft(u_phys[i] * u_phys[j])
+        self.triple_hat = np.stack([_fft(u_phys[i] * usq) for i in range(3)])
+        self.u_hat = _fft(u_phys)
+
+    @classmethod
+    def of(cls, u: SpectralField, ell: float, kind: str):
+        """(kernel on the doubled grid of u, multiplier of scale ell)."""
+        _check_ell(ell, u.grid)
+        u_phys = synthesize(u, 2 * u.grid.m)
+        kernel = cls(u_phys, np.sum(u_phys * u_phys, axis=0))
+        return kernel, multiplier_on_modes(kind, ell, Grid(kernel.p).k2, raw=True)
+
+    def d_smooth(self, spec, i: int, mult):
+        """d_i (g)_l pointwise, from the spectrum of g."""
+        return _ifft(2j * np.pi * self.n[i] * (spec * mult))
+
+    def terms(self, mult):
+        u = self.u
+        t1, t2, t3, t4 = (np.zeros_like(self.usq) for _ in range(4))
+        for i in range(3):
+            t1 += u[i] * self.d_smooth(self.usq_hat, i, mult)
+            t2 -= self.d_smooth(self.triple_hat[i], i, mult)
+            for j in range(3):
+                t3 += 2.0 * u[j] * self.d_smooth(self.pair_hat[i, j], i, mult)
+                t4 -= 2.0 * u[i] * u[j] * self.d_smooth(self.u_hat[j], i, mult)
+        return t1, t2, t3, t4
 
 
 def dr_integrand(u: SpectralField, ell: float, kind: str = "paper_bump") -> ScalarField:
     """D^l(u) via the Fourier route, exact on the doubled grid it returns."""
-    f = _DRFields(u, ell, kind)
-    vals = sum(_four_terms(f)) / 4.0
-    return ScalarField(Grid(f.p), f.fft(vals))
+    kernel, mult = DRKernel.of(u, ell, kind)
+    vals = sum(kernel.terms(mult)) / 4.0
+    return ScalarField(Grid(kernel.p), _fft(vals))
 
 
 def commutator_identity_check(u: SpectralField, ell: float,
                               kind: str = "paper_bump") -> float:
     """Pointwise relative residual of 4 D^l = div[u(|u|^2)_l - (u|u|^2)_l] + 2 E^l."""
-    f = _DRFields(u, ell, kind)
-    t1, t2, t3, t4 = _four_terms(f)
+    kernel, mult = DRKernel.of(u, ell, kind)
+    t1, t2, t3, t4 = kernel.terms(mult)
     lhs = t1 + t2 + t3 + t4
 
-    usq_l = f.ifft(f.smooth(f.usq))
-    w = np.empty_like(f.u)
+    # t2 = -div (u|u|^2)_l; div[u (|u|^2)_l] is transformed separately
+    w_hat = _fft(kernel.u * _ifft(kernel.usq_hat * mult))
+    div = t2.copy()
     for i in range(3):
-        w[i] = f.u[i] * usq_l
-    w_hat = f.fft(w)
-    div = np.zeros_like(f.usq)
-    for i in range(3):
-        div += f.ifft(2j * np.pi * f.n[i] * w_hat[i])
-        div -= f.dsmooth_values(f.u[i] * f.usq, i)
+        div += _ifft(2j * np.pi * kernel.n[i] * w_hat[i])
     e_l = 0.5 * (t3 + t4)
     rhs = div + 2.0 * e_l
     scale = np.max(np.abs(lhs))
@@ -240,6 +240,9 @@ class DRLedger:
     residual  [E_t + 2 D_t^{l_min}] - [compensator + N_t].
     """
 
+    CSV_COLUMNS = None  # no per-path CSV; ``export`` writes the series as JSON
+    key = "dissipation:default"
+
     def __init__(self, phi: TestFunction, config: DRConfig):
         self.phi = phi
         self.config = config
@@ -250,17 +253,12 @@ class DRLedger:
 
     def begin(self, view: StepView):
         self.config.validate_resolution(view.grid)
-        p = view.pad
-        n1 = np.fft.fftfreq(p, d=1.0 / p)
-        nx, ny, nz = np.meshgrid(n1, n1, n1, indexing="ij")
-        k2 = nx * nx + ny * ny + nz * nz
-        self._n = np.stack([nx, ny, nz])
+        k2 = Grid(view.pad).k2
         self._mults = {
             v: multiplier_on_modes(self.config.alpha_kind, v, k2, raw=True)
             for v in self.config.ell_values
         }
-        self._s = self.phi.spatial_values(p)
-        self._grad_s = self.phi.spatial_grad(p)
+        self._s = self.phi.spatial_values(view.pad)
         self.times.append(view.t)
         self.state_l2.append(view.state_l2)
         for v in self.config.ell_values:
@@ -268,37 +266,10 @@ class DRLedger:
 
     def advance(self, view: StepView, nxt: StepView):
         w1 = self.phi.theta_integral(view.t, nxt.t)
-        p = view.pad
-        u = view.u_phys
-        usq = view.u_sq
-        fft = lambda a: sfft.fftn(a, axes=(-3, -2, -1)) / p**3
-        ifft = lambda a: sfft.ifftn(a * p**3, axes=(-3, -2, -1)).real
-        usq_hat = fft(usq)
-        pair_hat = np.empty((3, 3, p, p, p), dtype=complex)
-        for i in range(3):
-            for j in range(i, 3):
-                pair_hat[i, j] = pair_hat[j, i] = fft(u[i] * u[j])
-        triple_hat = np.stack([fft(u[i] * usq) for i in range(3)])
-        u_hat = fft(u)
-
+        kernel = DRKernel(view.u_phys(view.pad), view.u_sq(view.pad))
         for v in self.config.ell_values:
-            mult = self._mults[v]
-            t1 = np.zeros_like(usq)
-            t3 = np.zeros_like(usq)
-            t4 = np.zeros_like(usq)
-            for i in range(3):
-                t1 += u[i] * ifft(2j * np.pi * self._n[i] * (usq_hat * mult))
-                for j in range(3):
-                    t3 += 2.0 * u[j] * ifft(2j * np.pi * self._n[i] * (pair_hat[i, j] * mult))
-                    t4 -= 2.0 * u[i] * u[j] * ifft(2j * np.pi * self._n[i] * (u_hat[j] * mult))
-            # triple term integrated by parts onto grad phi (exact spectrally)
-            t2_pairing = 0.0
-            for i in range(3):
-                t2_pairing += float(np.mean(ifft(triple_hat[i] * mult) * self._grad_s[i]))
-            d_pairing = 0.25 * (
-                float(np.mean((t1 + t3 + t4) * self._s)) + t2_pairing
-            )
-            self.series[v].append(self.series[v][-1] + w1 * d_pairing)
+            d_phi = 0.25 * float(np.mean(sum(kernel.terms(self._mults[v])) * self._s))
+            self.series[v].append(self.series[v][-1] + w1 * d_phi)
         self.times.append(nxt.t)
         self.state_l2.append(nxt.state_l2)
 
@@ -310,12 +281,22 @@ class DRLedger:
     def d_series(self, ell: float) -> np.ndarray:
         return np.asarray(self.series[ell])
 
-    def index_at(self, t: float) -> int:
-        times = np.asarray(self.times)
-        idx = int(np.argmin(np.abs(times - t)))
-        if abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ConfigurationError(f"time {t} not on the stored step grid")
-        return idx
+    def _series_payload(self) -> dict:
+        return {"times": list(self.times),
+                "series": {str(k): list(v) for k, v in self.series.items()}}
+
+    def payload(self) -> dict:
+        """The path-record entry: the series, Cauchy differences and norms."""
+        return {**self._series_payload(), "cauchy": self.cauchy_differences(),
+                "state_l2": list(self.state_l2)}
+
+    def store(self, record: dict):
+        record["dissipation"] = self.payload()
+
+    def export(self, directory, path_id: int) -> Path:
+        path = Path(directory) / f"dissipation_{path_id:06d}.json"
+        atomic_write_json(path, self._series_payload())
+        return path
 
 
 def lee_closure_residual(energy_ledger, dr_ledger: DRLedger, idx: int = -1) -> float:
@@ -330,34 +311,15 @@ def lee_closure_residual(energy_ledger, dr_ledger: DRLedger, idx: int = -1) -> f
     )
 
 
-@dataclass(frozen=True)
-class SubmartingaleReport:
-    s: float
-    t: float
-    statistics: tuple
-    threshold: float
-    passed: bool
+SubmartingaleReport = SupermartingaleReport  # same fields, reported in D's sign
 
 
 def dissipation_submartingale_test(dr_ledgers: list[DRLedger], ell: float,
                                    s: float, t: float, events,
                                    threshold: float = 3.0) -> SubmartingaleReport:
-    """One-sided test of E[(D_t - D_s) 1_A] >= 0 (submartingale direction)."""
-    from .energy import EventStatistic, _one_sided_stat
-
-    if len(dr_ledgers) < 2:
-        raise ConfigurationError("submartingale test needs an ensemble")
-    if t < s:
-        raise ConfigurationError("need s <= t")
-    i_s = dr_ledgers[0].index_at(s)
-    i_t = dr_ledgers[0].index_at(t)
-    dx = np.array([
-        led.series[ell][i_t] - led.series[ell][i_s] for led in dr_ledgers
-    ])
-    stats = []
-    for ev in events:
-        ind = ev.indicators(dr_ledgers, s)
-        mean, stderr, stat = _one_sided_stat(-dx * ind)
-        stats.append(EventStatistic(ev.kind, -mean, stderr, -stat, int(ind.sum())))
-    passed = all(st.statistic >= -threshold for st in stats)
-    return SubmartingaleReport(s, t, tuple(stats), threshold, passed)
+    """One-sided test of E[(D_t - D_s) 1_A] >= 0 (submartingale direction):
+    the supermartingale test of -D, with means and statistics in D's sign."""
+    stats, passed = one_sided_test(dr_ledgers, lambda led, i: -led.series[ell][i],
+                                   s, t, events, threshold, "submartingale")
+    stats = tuple(replace(st, mean=-st.mean, statistic=-st.statistic) for st in stats)
+    return SubmartingaleReport(s, t, stats, threshold, passed)

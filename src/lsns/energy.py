@@ -28,12 +28,14 @@ which one a limit test should use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .stepview import StepView
+from .persist import write_csv
+from .stepview import StepView, trajectory_step
 from .testfunc import TestFunction
 
 _MEAN = lambda a: float(np.mean(a))
@@ -48,10 +50,14 @@ class EnergyLedger:
         "energy_functional", "martingale", "qv_predicted", "qv_realized",
         "projection_gap", "mollification_gap", "state_l2",
     ]
+    # series stored in the path record under their own names
+    PAYLOAD_SERIES = (
+        "times", "martingale", "compensator", "compensator_projected",
+        "compensator_unmollified", "qv_predicted", "qv_realized", "state_l2",
+    )
 
-    def __init__(self, phi: TestFunction, track_raw: bool = True):
+    def __init__(self, phi: TestFunction):
         self.phi = phi
-        self.track_raw = track_raw
         self.steps: list[int] = []
         self.times: list[float] = []
         self.local_energy: list[float] = []
@@ -61,12 +67,17 @@ class EnergyLedger:
         self.compensator: list[float] = []
         self.compensator_projected: list[float] = []
         self.compensator_unmollified: list[float] = []
+        self.functional: list[float] = []  # E_t(u; phi) per step
         self.qv_predicted: list[float] = []
         self.qv_realized: list[float] = []
         self.martingale: list[float] = []
         self.state_l2: list[float] = []
         self._initial_energy = 0.0
         self._s = None  # spatial arrays cached on first view
+
+    @property
+    def key(self) -> str:
+        return f"energy:{self.phi.label}"
 
     # -- consumer protocol ----------------------------------------------------
 
@@ -75,23 +86,14 @@ class EnergyLedger:
         # quadratic integrands (bandwidth 2K + bw) are exact on the native
         # grid when it resolves them; cubic flux terms always use the pad
         bw = self.phi.spatial_bandwidth
-        self._native_ok = 2 * grid.dealias_cutoff + bw <= grid.m - 1
-        self._pq = grid.m if self._native_ok else view.pad
+        native_ok = 2 * grid.dealias_cutoff + bw <= grid.m - 1
+        self._pq = grid.m if native_ok else view.pad
         self._s = self.phi.spatial_values(self._pq)
         self._lap_s = self.phi.spatial_laplacian(self._pq)
         self._s_pad = self.phi.spatial_values(view.pad)
         self._grad_s_pad = self.phi.spatial_grad(view.pad)
         self._initial_energy = self._local_energy(view)
         self._append_state(view, le=self._initial_energy)
-
-    def _usq(self, view: StepView):
-        return view.u_sq_native if self._native_ok else view.u_sq
-
-    def _uphys(self, view: StepView):
-        return view.u_phys_native if self._native_ok else view.u_phys
-
-    def _gradu(self, view: StepView):
-        return view.grad_u_phys_native if self._native_ok else view.grad_u_phys
 
     def advance(self, view: StepView, nxt: StepView):
         # deterministic temporal weights are integrated exactly over the
@@ -100,20 +102,21 @@ class EnergyLedger:
         w2 = self.phi.theta_integral(view.t, nxt.t, power=2)
         dth = self.phi.theta_increment(view.t, nxt.t)
         nu = view.ws.params.nu
+        pq, pad = self._pq, view.pad
 
-        gu = self._gradu(view)
+        gu = view.grad_u_phys(pq)
         gradsq = np.einsum("ijxyz,ijxyz->xyz", gu, gu)
         enst = self.enstrophy[-1] + 2.0 * nu * w1 * _MEAN(gradsq * self._s)
 
         trans = self.transport[-1] + (
-            dth * _MEAN(self._usq(view) * self._s)
-            + nu * w1 * _MEAN(self._usq(view) * self._lap_s)
+            dth * _MEAN(view.u_sq(pq) * self._s)
+            + nu * w1 * _MEAN(view.u_sq(pq) * self._lap_s)
         )
 
-        vdot = np.einsum("ixyz,ixyz->xyz", view.v_phys, self._grad_s_pad)
-        udot = np.einsum("ixyz,ixyz->xyz", view.u_phys, self._grad_s_pad)
+        vdot = np.einsum("ixyz,ixyz->xyz", view.v_phys(pad), self._grad_s_pad)
+        udot = np.einsum("ixyz,ixyz->xyz", view.u_phys(pad), self._grad_s_pad)
         flux = self.flux[-1] + w1 * (
-            _MEAN(view.u_sq * vdot) + 2.0 * _MEAN(view.p_phys * udot)
+            _MEAN(view.u_sq(pad) * vdot) + 2.0 * _MEAN(view.p_phys(pad) * udot)
         )
 
         comp = self.compensator[-1]
@@ -121,16 +124,15 @@ class EnergyLedger:
         comp_raw = self.compensator_unmollified[-1]
         qv_pred = self.qv_predicted[-1]
         if view.ws.noise is not None:
-            up = self._uphys(view)
-            for g in view.noise_phys_on(self._pq):
+            up = view.u_phys(pq)
+            for g in view.noise_phys("injected", pq):
                 comp += w1 * _MEAN(np.sum(g * g, axis=0) * self._s)
                 pairing = _MEAN(np.sum(g * up, axis=0) * self._s)
                 qv_pred += 4.0 * w2 * pairing**2
-            for g in view.noise_proj_phys_on(self._pq):
+            for g in view.noise_phys("projected", pq):
                 comp_proj += w1 * _MEAN(np.sum(g * g, axis=0) * self._s)
-            if self.track_raw:
-                for g in view.noise_raw_phys_on(view.pad):
-                    comp_raw += w1 * _MEAN(np.sum(g * g, axis=0) * self._s_pad)
+            for g in view.noise_phys("raw", pad):
+                comp_raw += w1 * _MEAN(np.sum(g * g, axis=0) * self._s_pad)
 
         self._append_state(
             nxt,
@@ -142,7 +144,7 @@ class EnergyLedger:
     # -- accounting ------------------------------------------------------------
 
     def _local_energy(self, view: StepView) -> float:
-        return self.phi.theta(view.t) * _MEAN(self._usq(view) * self._s)
+        return self.phi.theta(view.t) * _MEAN(view.u_sq(self._pq) * self._s)
 
     def _append_state(self, view: StepView, le: float, enst: float = 0.0,
                       trans: float = 0.0, flux: float = 0.0, comp: float = 0.0,
@@ -154,24 +156,17 @@ class EnergyLedger:
         self.enstrophy.append(enst)
         self.transport.append(trans)
         self.flux.append(flux)
+        self.functional.append(le + enst - trans - flux)
         self.compensator.append(comp)
         self.compensator_projected.append(comp_proj)
         self.compensator_unmollified.append(comp_raw)
         self.qv_predicted.append(qv_pred)
         self.state_l2.append(view.state_l2)
-        n = self.residual(-1)
-        if self.martingale:
-            self.qv_realized.append(self.qv_realized[-1] + (n - self.martingale[-1]) ** 2)
-        else:
-            self.qv_realized.append(0.0)
-        self.martingale.append(n)
+        close_martingale(self)
 
     def energy_functional(self, idx: int) -> float:
         """E_t(u; phi): local energy + enstrophy - transport - flux."""
-        return (
-            self.local_energy[idx] + self.enstrophy[idx]
-            - self.transport[idx] - self.flux[idx]
-        )
+        return self.functional[idx]
 
     def residual(self, idx: int) -> float:
         """N_t(phi): the energy balance closed as a residual."""
@@ -193,36 +188,60 @@ class EnergyLedger:
                 self.steps[i], self.times[i], self.local_energy[i],
                 self.enstrophy[i], self.transport[i], self.flux[i],
                 self.compensator[i], self.compensator_projected[i],
-                self.compensator_unmollified[i], self.energy_functional(i),
+                self.compensator_unmollified[i], self.functional[i],
                 self.martingale[i], self.qv_predicted[i], self.qv_realized[i],
                 self.compensator[i] - self.compensator_projected[i],
                 self.compensator_unmollified[i] - self.compensator[i],
                 self.state_l2[i],
             ]
 
-    def index_at(self, t: float) -> int:
-        times = np.asarray(self.times)
-        idx = int(np.argmin(np.abs(times - t)))
-        if abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ConfigurationError(f"time {t} not on the stored step grid")
-        return idx
+    def payload(self) -> dict:
+        """The path-record entry: the series the ensemble statistics need."""
+        out = {k: list(getattr(self, k)) for k in self.PAYLOAD_SERIES}
+        out["energy_functional"] = list(self.functional)
+        out["initial_energy"] = self._initial_energy
+        return out
+
+    @classmethod
+    def from_payload(cls, phi: TestFunction, payload: dict) -> "EnergyLedger":
+        """A ledger restored from ``payload()`` (its statistics series only)."""
+        led = cls(phi)
+        for k in cls.PAYLOAD_SERIES:
+            setattr(led, k, payload[k])
+        led.functional = payload["energy_functional"]
+        led._initial_energy = payload["initial_energy"]
+        return led
+
+    def store(self, record: dict):
+        record.setdefault("energy", {})[self.phi.label] = self.payload()
+
+    def export(self, directory, path_id: int) -> Path:
+        path = Path(directory) / f"energy_{self.phi.label}_{path_id:06d}.csv"
+        write_csv(path, self.CSV_COLUMNS, self.rows())
+        return path
+
+
+def close_martingale(led):
+    """Append the newest row's residual as the martingale, with its realized
+    quadratic variation (0 on the first row)."""
+    n = led.residual(-1)
+    led.qv_realized.append(led.qv_realized[-1] + (n - led.martingale[-1]) ** 2
+                           if led.martingale else 0.0)
+    led.martingale.append(n)
+
+
+def index_at(times, t: float) -> int:
+    """Index of time t on a ledger's stored step grid."""
+    times = np.asarray(times)
+    idx = int(np.argmin(np.abs(times - t)))
+    if abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)):
+        raise ConfigurationError(f"time {t} not on the stored step grid")
+    return idx
 
 
 def ledger_step(traj, j: int, phi: TestFunction, ledger: EnergyLedger | None = None):
     """Advance a ledger by one step of a stride-1 trajectory (spec-style API)."""
-    from .stepview import StepView, make_workspace
-
-    traj.require_stride_one("energy ledger")
-    ws = make_workspace(traj.params, traj.noise)
-    if ledger is None or not ledger.steps:
-        ledger = ledger or EnergyLedger(phi)
-        ledger.begin(StepView(ws, traj.states[0], 0, traj.pressures[0]))
-    if ledger.steps[-1] != j:
-        raise ConfigurationError(f"ledger is at step {ledger.steps[-1]}, expected {j}")
-    view = StepView(ws, traj.states[j], j, traj.pressures[j])
-    nxt = StepView(ws, traj.states[j + 1], j + 1, traj.pressures[j + 1])
-    ledger.advance(view, nxt)
-    return ledger
+    return trajectory_step(traj, j, ledger or EnergyLedger(phi), "energy ledger")
 
 
 def ledger_residual(ledger: EnergyLedger, j: int | None = None) -> float:
@@ -261,7 +280,7 @@ class Event:
         n = len(ledgers)
         if self.kind == "all":
             return np.ones(n)
-        idx = ledgers[0].index_at(self.at)
+        idx = index_at(ledgers[0].times, self.at)
         vals = np.array([led.state_l2[idx] for led in ledgers])
         thresh = np.quantile(vals, self.q)
         if self.kind == "low_energy":
@@ -302,26 +321,31 @@ def _one_sided_stat(vals: np.ndarray) -> tuple[float, float, float]:
     return mean, stderr, stat
 
 
-def supermartingale_test(ledgers: list[EnergyLedger], s: float, t: float,
-                         events: list[Event], threshold: float = 3.0) -> SupermartingaleReport:
-    """One-sided test of E[(X_t - X_s) 1_A] <= 0 for the energy process X."""
+def one_sided_test(ledgers: list, process, s: float, t: float, events: list[Event],
+                   threshold: float, what: str):
+    """(statistics, passed) of the one-sided test E[(X_t - X_s) 1_A] <= 0 of
+    the process X = process(ledger, step index), per event A."""
     if len(ledgers) < 2:
-        raise ConfigurationError("supermartingale test needs an ensemble")
+        raise ConfigurationError(f"{what} test needs an ensemble")
     if t < s:
         raise ConfigurationError("need s <= t")
-    i_s = ledgers[0].index_at(s)
-    i_t = ledgers[0].index_at(t)
-    dx = np.array([
-        led.supermartingale_process(i_t) - led.supermartingale_process(i_s)
-        for led in ledgers
-    ])
+    i_s = index_at(ledgers[0].times, s)
+    i_t = index_at(ledgers[0].times, t)
+    dx = np.array([process(led, i_t) - process(led, i_s) for led in ledgers])
     stats = []
     for ev in events:
         ind = ev.indicators(ledgers, s)
         mean, stderr, stat = _one_sided_stat(dx * ind)
         stats.append(EventStatistic(ev.kind, mean, stderr, stat, int(ind.sum())))
-    passed = all(st.statistic <= threshold for st in stats)
-    return SupermartingaleReport(s, t, tuple(stats), threshold, passed)
+    return tuple(stats), all(st.statistic <= threshold for st in stats)
+
+
+def supermartingale_test(ledgers: list[EnergyLedger], s: float, t: float,
+                         events: list[Event], threshold: float = 3.0) -> SupermartingaleReport:
+    """One-sided test of E[(X_t - X_s) 1_A] <= 0 for the energy process X."""
+    stats, passed = one_sided_test(ledgers, lambda led, i: led.supermartingale_process(i),
+                                   s, t, events, threshold, "supermartingale")
+    return SupermartingaleReport(s, t, stats, threshold, passed)
 
 
 @dataclass(frozen=True)
@@ -338,7 +362,7 @@ def lei_scalar_check(ledgers: list[EnergyLedger], xi, t: float | None = None,
 
     ``xi`` maps a ledger (the path history) to a bounded nonnegative scalar.
     """
-    idx = -1 if t is None else ledgers[0].index_at(t)
+    idx = -1 if t is None else index_at(ledgers[0].times, t)
     xis = np.array([float(xi(led)) for led in ledgers])
     if np.any(xis < 0):
         raise ConfigurationError("xi must be nonnegative on every path")
@@ -351,6 +375,13 @@ def lei_scalar_check(ledgers: list[EnergyLedger], xi, t: float | None = None,
     mean, stderr, _ = _one_sided_stat(diff)
     passed = mean <= threshold * stderr + 1e-12
     return LEIReport(float(np.mean(lhs)), float(np.mean(rhs)), stderr, passed)
+
+
+# bounded nonnegative path functionals xi of the LEI check, by config name
+XI_FUNCTIONALS = {
+    "one": lambda led: 1.0,
+    "inv_sup_energy": lambda led: 1.0 / (1.0 + max(led.state_l2) ** 2),
+}
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,22 @@
 """Ensemble orchestration: run all configured paths and diagnostics, reduce
 to summary statistics, and support crash-safe resume and replay.
 
+The config builds one ledger plan (``ExperimentConfig.ledgers``), used both
+inline by ``run_one_path`` and by ``replay``. A path runs the one
+Euler-Maruyama loop (``integrate.em_path``) once: the ledgers consume its
+StepViews as it goes, snapshots (when saved) are collected from the same
+stream at the output stride, and a path without ledgers keeps only its last
+state. Each ledger serializes itself into the path record and its per-path
+file.
+
 Workers parallelize over whole paths only; the counter-based noise keys make
 results independent of scheduling. Each finished path is written atomically
-to ``<output>/paths/path_XXXXXX.json``, so an interrupted ensemble resumes
-by skipping completed paths and reproduces the uninterrupted result
-bit-exactly (path records are deterministic functions of config and id).
-Blown-up paths are recorded and excluded from statistics, never dropped
-silently.
+to ``<output>/paths/path_XXXXXX.json`` together with the code version and the
+digest of the config blocks that determine its numbers, so an interrupted
+ensemble resumes by skipping completed paths of the same config and
+reproduces the uninterrupted result bit-exactly; a record from another
+config or code version is recomputed. Blown-up paths are recorded and
+excluded from statistics, never dropped silently.
 """
 
 from __future__ import annotations
@@ -16,19 +25,18 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, initial_field
-from .dissipation import DRLedger, dissipation_submartingale_test, lee_closure_residual
-from .energy import EnergyLedger, Event, lei_scalar_check, supermartingale_test
+from .energy import EnergyLedger, lei_scalar_check, supermartingale_test
 from .errors import BlowUpError, ConfigurationError
+from .integrate import Trajectory, em_path
 from .persist import atomic_write_json, save_trajectory, write_csv
-from .stepview import drive, iter_views, views_from_trajectory
-from .vorticity import VorticityLedger, ladder_trend_table, vorticity_bounds_report
+from .spectral import l2_norm
+from .stepview import drive, views_from_trajectory, views_of
 
 WORKER_ENV = "LSNS_WORKERS"
 
@@ -37,100 +45,40 @@ WORKER_ENV = "LSNS_WORKERS"
 # per-path work
 
 
-def _ledger_payload(led: EnergyLedger) -> dict:
-    return {
-        "times": list(led.times),
-        "martingale": list(led.martingale),
-        "compensator": list(led.compensator),
-        "compensator_projected": list(led.compensator_projected),
-        "compensator_unmollified": list(led.compensator_unmollified),
-        "energy_functional": [led.energy_functional(i) for i in range(len(led.times))],
-        "initial_energy": led._initial_energy,
-        "qv_predicted": list(led.qv_predicted),
-        "qv_realized": list(led.qv_realized),
-        "state_l2": list(led.state_l2),
-    }
-
-
-def _vorticity_payload(led: VorticityLedger) -> dict:
-    return {
-        "times": list(led.times),
-        "martingale": list(led.martingale),
-        "sup_l1": max(led.l1),
-        "grad_norm": led.grad_norm[-1],
-        "min_holder_margin": min(led.holder_margin),
-        "norm_chain_ok": all(led.norm_chain_ok),
-        "epsilon": led.epsilon,
-        "qv_predicted": list(led.qv_predicted),
-        "qv_realized": list(led.qv_realized),
-        "state_l2": list(led.state_l2),
-    }
-
-
 def run_one_path(cfg: ExperimentConfig, path_id: int) -> dict:
     """Integrate one path with every configured ledger; returns a JSON record."""
     params = cfg.run_params(path_id)
     noise = cfg.noise_model()
-    u0 = initial_field(cfg)
     out = cfg.output_block()
-    diag = cfg.diagnostics()
-    phis = cfg.test_functions()
-    consumers, tags = [], []
-    for name, phi in phis.items():
-        consumers.append(EnergyLedger(phi))
-        tags.append(("energy", name))
-    hf = cfg.h_function()
-    if hf is not None:
-        consumers.append(VorticityLedger(hf))
-        tags.append(("vorticity", "default"))
-    drc = cfg.dr_config()
-    if drc is not None:
-        phi_for_dr = next(iter(phis.values())) if phis else None
-        if phi_for_dr is None:
-            raise ConfigurationError("dissipation diagnostics need a test function")
-        consumers.append(DRLedger(phi_for_dr, drc))
-        tags.append(("dissipation", "default"))
-
-    record = {"path_id": path_id, "blown_up": False}
+    ledgers = cfg.ledgers()
+    record = {"path_id": path_id, "config_digest": cfg.results_digest(),
+              "code_version": __version__}
+    traj = Trajectory(params, noise)  # owns the path's Workspace; stores states for snapshots
+    stream = em_path(params, initial_field(cfg), noise, traj.workspace)
+    if out["save_snapshots"]:
+        stream = traj.recording(stream)
     try:
-        if out["save_snapshots"]:
-            from .integrate import integrate
-
-            traj = integrate(params, u0, noise)
-            pdir = Path(out["directory"]) / f"trajectory_{path_id:06d}"
-            save_trajectory(traj, pdir, run_config=cfg.raw)
-            if consumers:
-                drive(views_from_trajectory(traj), consumers)
-        elif consumers:
-            drive(iter_views(params, u0, noise), consumers)
+        if ledgers:
+            drive(views_of(stream, traj.workspace), ledgers)
         else:
-            from .integrate import integrate
-
-            traj = integrate(params, u0, noise)
-            record["final_l2"] = float(np.sqrt(np.sum(np.abs(traj.states[-1].coeffs) ** 2)))
+            for _, u, _ in stream:
+                pass
     except BlowUpError as err:
-        return {"path_id": path_id, "blown_up": True, "blowup_step": err.step}
+        return {**record, "blown_up": True, "blowup_step": err.step}
 
-    for consumer, (kind, name) in zip(consumers, tags):
-        if kind == "energy":
-            record.setdefault("energy", {})[name] = _ledger_payload(consumer)
-            if out["write_csv"]:
-                csv_path = Path(out["directory"]) / "paths" / f"energy_{name}_{path_id:06d}.csv"
-                csv_path.parent.mkdir(parents=True, exist_ok=True)
-                write_csv(csv_path, consumer.CSV_COLUMNS, consumer.rows())
-        elif kind == "vorticity":
-            record["vorticity"] = _vorticity_payload(consumer)
-            if out["write_csv"]:
-                csv_path = Path(out["directory"]) / "paths" / f"vorticity_{path_id:06d}.csv"
-                csv_path.parent.mkdir(parents=True, exist_ok=True)
-                write_csv(csv_path, consumer.CSV_COLUMNS, consumer.rows())
-        else:
-            record["dissipation"] = {
-                "times": list(consumer.times),
-                "series": {str(k): list(v) for k, v in consumer.series.items()},
-                "cauchy": consumer.cauchy_differences(),
-                "state_l2": list(consumer.state_l2),
-            }
+    record["blown_up"] = False
+    if out["save_snapshots"]:
+        traj.fill_pressures()
+        save_trajectory(traj, Path(out["directory"]) / f"trajectory_{path_id:06d}",
+                        run_config=cfg.raw)
+    elif not ledgers:
+        record["final_l2"] = l2_norm(u)
+    for led in ledgers:
+        led.store(record)
+        if out["write_csv"] and led.CSV_COLUMNS:
+            paths = Path(out["directory"]) / "paths"
+            paths.mkdir(parents=True, exist_ok=True)
+            led.export(paths, path_id)
     return record
 
 
@@ -144,67 +92,56 @@ def _worker(args):
 # reduction
 
 
-class _LedgerView:
-    """Duck-typed ledger over a stored path record (for the test helpers)."""
+def _zero_mean(vals, bar: float = 4.0):
+    """Two-sided z-test of mean zero: (statistics, ok, reason).
 
-    def __init__(self, payload: dict):
-        self.times = payload["times"]
-        self.martingale = payload["martingale"]
-        self.compensator = payload["compensator"]
-        self.state_l2 = payload["state_l2"]
-        self._initial_energy = payload["initial_energy"]
-        self._e = payload["energy_functional"]
-        self.qv_predicted = payload["qv_predicted"]
-        self.qv_realized = payload["qv_realized"]
-
-    def energy_functional(self, idx):
-        return self._e[idx]
-
-    def supermartingale_process(self, idx):
-        return self._e[idx] - self.compensator[idx]
-
-    def index_at(self, t):
-        times = np.asarray(self.times)
-        idx = int(np.argmin(np.abs(times - t)))
-        if abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ConfigurationError(f"time {t} not on the stored step grid")
-        return idx
-
-
-XI_FUNCTIONALS = {
-    "one": lambda led: 1.0,
-    "inv_sup_energy": lambda led: 1.0 / (1.0 + max(led.state_l2) ** 2),
-}
+    A sample with n < 2 or zero standard error gives no evidence either way:
+    ok is then None (degenerate), never a pass.
+    """
+    vals = np.asarray(vals, dtype=float)
+    n = len(vals)
+    mean = float(np.mean(vals)) if n else 0.0
+    se = float(vals.std(ddof=1) / np.sqrt(n)) if n >= 2 else 0.0
+    stats = {"mean": mean, "stderr": se, "z": mean / se if se > 0 else 0.0, "n": n}
+    if n < 2:
+        return stats, None, f"n = {n} < 2 paths"
+    if se == 0.0:
+        return stats, None, f"stderr = 0: all {n} paths give {mean:.6g}"
+    ok = abs(stats["z"]) <= bar
+    return stats, ok, f"|z| = {abs(stats['z']):.3g} {'<=' if ok else '>'} {bar:g}"
 
 
 def summarize(cfg: ExperimentConfig, records: list[dict], wall_clock: float) -> dict:
-    """Reduce path records to the ensemble summary with named test outcomes."""
+    """Reduce path records to the ensemble summary with named test outcomes.
+
+    Every verdict is listed in ``verdicts`` with a status (pass, fail or
+    degenerate) and a reason; ``all_passed`` holds when each one passed.
+    """
     good = [r for r in records if not r["blown_up"]]
     blown = [r for r in records if r["blown_up"]]
     diag = cfg.diagnostics()
-    tests = {}
+    tests, verdicts = {}, []
 
-    def zscore(vals):
-        vals = np.asarray(vals, dtype=float)
-        if len(vals) < 2:
-            return {"mean": float(np.mean(vals)) if len(vals) else 0.0,
-                    "stderr": 0.0, "z": 0.0, "n": len(vals)}
-        se = float(vals.std(ddof=1) / np.sqrt(len(vals)))
-        mean = float(vals.mean())
-        return {"mean": mean, "stderr": se,
-                "z": mean / se if se > 0 else 0.0, "n": len(vals)}
+    def judge(test: str, ok: bool | None, reason: str) -> bool:
+        status = "degenerate" if ok is None else ("pass" if ok else "fail")
+        verdicts.append({"test": test, "status": status, "reason": reason})
+        return status == "pass"
 
-    for name in cfg.test_functions():
-        ledgers = [_LedgerView(r["energy"][name]) for r in good if "energy" in r]
+    def zero_mean(test: str, vals):
+        stats, ok, reason = _zero_mean(vals)
+        return stats, judge(test, ok, reason)
+
+    for name, phi in cfg.test_functions().items():
+        ledgers = [EnergyLedger.from_payload(phi, r["energy"][name])
+                   for r in good if "energy" in r]
         if not ledgers:
             continue
+        key = f"energy:{name}"
         block = {"criterion": "martingale_zero_mean_4sigma"}
-        nt = zscore([led.martingale[-1] for led in ledgers])
-        block["terminal_martingale"] = nt
-        block["zero_mean_pass"] = abs(nt["z"]) <= 4.0
-        dqv = zscore([led.qv_realized[-1] - led.qv_predicted[-1] for led in ledgers])
-        block["qv_gap"] = dqv
-        block["qv_consistency_pass"] = abs(dqv["z"]) <= 4.0
+        block["terminal_martingale"], block["zero_mean_pass"] = zero_mean(
+            f"{key}/terminal_martingale", [led.martingale[-1] for led in ledgers])
+        block["qv_gap"], block["qv_consistency_pass"] = zero_mean(
+            f"{key}/qv_gap", [led.qv_realized[-1] - led.qv_predicted[-1] for led in ledgers])
 
         st = diag.get("supermartingale")
         if st is not None and len(ledgers) >= 2:
@@ -218,30 +155,37 @@ def summarize(cfg: ExperimentConfig, records: list[dict], wall_clock: float) -> 
                 ],
                 "passed": rep.passed,
             }
-        lei = diag.get("lei_xi")
-        if lei is not None and len(ledgers) >= 2:
+            worst = max(s.statistic for s in rep.statistics)
+            judge(f"{key}/supermartingale", rep.passed,
+                  f"max one-sided statistic {worst:.3g} vs {rep.threshold:g}")
+        if diag.get("lei_xi") is not None and len(ledgers) >= 2:
             outcomes = {}
-            for xi_name in lei:
-                if xi_name not in XI_FUNCTIONALS:
-                    raise ConfigurationError(f"diagnostics.lei_xi: unknown functional {xi_name!r}")
-                rep = lei_scalar_check(ledgers, XI_FUNCTIONALS[xi_name])
+            for xi_name, xi in cfg.xi_functionals().items():
+                rep = lei_scalar_check(ledgers, xi)
                 outcomes[xi_name] = {"lhs": rep.lhs, "rhs": rep.rhs,
                                      "stderr": rep.stderr, "passed": rep.passed}
+                judge(f"{key}/lei/{xi_name}", rep.passed,
+                      f"lhs - rhs = {rep.lhs - rep.rhs:.3g}, stderr {rep.stderr:.3g}")
             block["lei"] = {"criterion": "lei_scalar_3sigma", "outcomes": outcomes}
-        tests[f"energy:{name}"] = block
+        tests[key] = block
 
     vort = [r["vorticity"] for r in good if "vorticity" in r]
     if vort:
-        nt = zscore([v["martingale"][-1] for v in vort])
+        nt, zero_ok = zero_mean("vorticity/terminal_martingale",
+                                [p["martingale"][-1] for p in vort])
+        margin = float(min(p["min_holder_margin"] for p in vort))
         tests["vorticity"] = {
             "criterion": "vorticity_identity_zero_mean_4sigma",
             "terminal_martingale": nt,
-            "zero_mean_pass": abs(nt["z"]) <= 4.0,
-            "mean_sup_l1": float(np.mean([v["sup_l1"] for v in vort])),
-            "mean_grad_norm": float(np.mean([v["grad_norm"] for v in vort])),
-            "min_holder_margin": float(min(v["min_holder_margin"] for v in vort)),
-            "holder_pass": min(v["min_holder_margin"] for v in vort) >= -1e-12,
-            "norm_chain_pass": all(v["norm_chain_ok"] for v in vort),
+            "zero_mean_pass": zero_ok,
+            "mean_sup_l1": float(np.mean([p["sup_l1"] for p in vort])),
+            "mean_grad_norm": float(np.mean([p["grad_norm"] for p in vort])),
+            "min_holder_margin": margin,
+            "holder_pass": judge("vorticity/holder", margin >= -1e-12,
+                                 f"min Hoelder margin {margin:.3g} vs -1e-12"),
+            "norm_chain_pass": judge("vorticity/norm_chain",
+                                     all(p["norm_chain_ok"] for p in vort),
+                                     "L1 / sqrt-moment chain at every step of every path"),
         }
 
     dr = [r["dissipation"] for r in good if "dissipation" in r]
@@ -250,24 +194,10 @@ def summarize(cfg: ExperimentConfig, records: list[dict], wall_clock: float) -> 
         tests["dissipation"] = {
             "criterion": "dr_cauchy_trend",
             "mean_cauchy_differences": [float(c) for c in cauchy],
-            "nonincreasing": bool(all(b <= a * 1.5 for a, b in zip(cauchy, cauchy[1:]))),
+            "nonincreasing": judge("dissipation/cauchy_trend",
+                                   all(b <= a * 1.5 for a, b in zip(cauchy, cauchy[1:])),
+                                   "each mean Cauchy difference <= 1.5x the previous"),
         }
-
-    def collect_passes(obj):
-        found = []
-        if isinstance(obj, dict):
-            for k, v in obj.items():
-                if isinstance(v, bool) and (k.endswith("_pass") or k in ("passed", "nonincreasing")):
-                    found.append(v)
-                else:
-                    found.extend(collect_passes(v))
-        elif isinstance(obj, list):
-            for v in obj:
-                found.extend(collect_passes(v))
-        return found
-
-    verdicts = collect_passes(tests)
-    passed = all(verdicts) if verdicts else True
 
     return {
         "schema_version": cfg.raw["schema_version"],
@@ -277,7 +207,8 @@ def summarize(cfg: ExperimentConfig, records: list[dict], wall_clock: float) -> 
         "paths_completed": len(good),
         "blowups": [{"path_id": r["path_id"], "step": r["blowup_step"]} for r in blown],
         "tests": tests,
-        "all_passed": bool(passed),
+        "verdicts": verdicts,
+        "all_passed": all(v["status"] == "pass" for v in verdicts),
         "wall_clock_seconds": wall_clock,
     }
 
@@ -296,12 +227,15 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> dict:
 
     workers = int(os.environ.get(WORKER_ENV, ens["workers"]))
     todo, records = [], {}
+    provenance = {"config_digest": cfg.results_digest(), "code_version": __version__}
     for pid in range(ens["paths"]):
         rpath = outdir / "paths" / f"path_{pid:06d}.json"
         if resume and rpath.exists():
-            records[pid] = json.loads(rpath.read_text())
-        else:
-            todo.append(pid)
+            rec = json.loads(rpath.read_text())
+            if all(rec.get(k) == v for k, v in provenance.items()):
+                records[pid] = rec
+                continue
+        todo.append(pid)
 
     def store(rec):
         pid = rec["path_id"]
@@ -336,46 +270,27 @@ def replay(manifest_path, diagnostics_spec: dict, output_dir=None) -> dict:
     cfg = ExperimentConfig.parse(doc)
     if manifest["params"]["stride"] != 1:
         raise ConfigurationError("replay diagnostics require a stride-1 trajectory")
-    noise = cfg.noise_model()
-    traj = load_trajectory(manifest_path.parent, noise)
-    phis = cfg.test_functions()
-    consumers, tags = [], []
-    for name, phi in phis.items():
-        consumers.append(EnergyLedger(phi))
-        tags.append(("energy", name))
-    hf = cfg.h_function()
-    if hf is not None:
-        consumers.append(VorticityLedger(hf))
-        tags.append(("vorticity", "default"))
-    drc = cfg.dr_config()
-    if drc is not None:
-        consumers.append(DRLedger(next(iter(phis.values())), drc))
-        tags.append(("dissipation", "default"))
-    drive(views_from_trajectory(traj), consumers)
+    traj = load_trajectory(manifest_path.parent, cfg.noise_model())
+    ledgers = drive(views_from_trajectory(traj), cfg.ledgers())
 
     outdir = Path(output_dir) if output_dir else manifest_path.parent / "replay"
     outdir.mkdir(parents=True, exist_ok=True)
-    written = {}
     pid = manifest["params"]["path_id"]
-    for consumer, (kind, name) in zip(consumers, tags):
-        if kind == "energy":
-            path = outdir / f"energy_{name}_{pid:06d}.csv"
-            write_csv(path, consumer.CSV_COLUMNS, consumer.rows())
-        elif kind == "vorticity":
-            path = outdir / f"vorticity_{pid:06d}.csv"
-            write_csv(path, consumer.CSV_COLUMNS, consumer.rows())
-        else:
-            path = outdir / f"dissipation_{pid:06d}.json"
-            atomic_write_json(path, {
-                "times": list(consumer.times),
-                "series": {str(k): list(v) for k, v in consumer.series.items()},
-            })
-        written[f"{kind}:{name}"] = str(path)
-    return written
+    return {led.key: str(led.export(outdir, pid)) for led in ledgers}
+
+
+def _cell(v: str) -> float:
+    if v in ("True", "False"):
+        return float(v == "True")
+    return float(v) if v else np.nan  # an empty cell is undefined on that row
 
 
 def report(output_dir) -> dict:
-    """Aggregate per-path energy CSVs into plot-ready ensemble statistics."""
+    """Aggregate per-path CSVs into plot-ready ensemble statistics.
+
+    A cell some path leaves undefined (empty, like the row-0 Hoelder margin)
+    is left empty in the ensemble mean and spread too.
+    """
     import csv
 
     outdir = Path(output_dir)
@@ -388,9 +303,7 @@ def report(output_dir) -> dict:
         stem = path.stem.rsplit("_", 1)[0]
         with open(path) as fh:
             rows = list(csv.reader(fh))
-        header, data = rows[0], np.array([[float(v) if v not in ("True", "False")
-                                           else float(v == "True") for v in r]
-                                          for r in rows[1:]])
+        header, data = rows[0], np.array([[_cell(v) for v in r] for r in rows[1:]])
         groups.setdefault(stem, []).append((header, data))
     written = {}
     for stem, entries in groups.items():
@@ -400,7 +313,7 @@ def report(output_dir) -> dict:
         std = stack.std(axis=0, ddof=1) if len(entries) > 1 else np.zeros_like(mean)
         out_rows = []
         for i in range(mean.shape[0]):
-            out_rows.append(list(mean[i]) + list(std[i]))
+            out_rows.append([None if np.isnan(x) else x for x in [*mean[i], *std[i]]])
         cols = [f"mean_{h}" for h in header] + [f"std_{h}" for h in header]
         path = outdir / f"ensemble_{stem}.csv"
         write_csv(path, cols, out_rows)

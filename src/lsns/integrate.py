@@ -14,13 +14,20 @@ Ito convention throughout: the noise coefficients and the drift are
 evaluated at the left endpoint. Incompressibility is enforced exactly by
 the projection; the associated gradient pressure (from the mollified
 advection tensor) is returned as a diagnostic.
+
+``em_path`` is the one Euler-Maruyama loop of the package: ``integrate``
+folds its stream into a stored ``Trajectory``, the StepView stream of the
+diagnostic ledgers wraps it (``stepview.iter_views``), and
+``ensemble.run_one_path`` consumes it directly. A ``Workspace`` holds everything a path
+reuses across steps, including the state-independent additive-noise
+syntheses the ledgers read.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,10 +41,12 @@ from .spectral import (
     SpectralField,
     TWO_PI,
     advection_tensor,
+    curl,
     gradient,
     l2_norm,
     leray_project,
     pressure_from_tensor,
+    synthesize,
 )
 
 SCHEMES = ("em_explicit", "em_semi_implicit")
@@ -113,6 +122,7 @@ class Workspace:
         self.heat = np.exp(-4.0 * np.pi**2 * params.nu * g.k2 * params.dt)
         self.n_noise = 0
         self.additive_projected: list[np.ndarray] | None = None
+        self._additive_phys: dict = {}
         if noise is not None:
             self.n_noise = min(params.truncation.n, noise.max_k)
             if params.truncation.n > noise.max_k:
@@ -125,24 +135,42 @@ class Workspace:
                     for f in noise.vector_fields[: self.n_noise]
                 ]
 
-    def noise_fields(self, u: SpectralField) -> list[SpectralField]:
-        """Galerkin-truncated psi_eps * sigma_k(u), k = 1..N (unprojected)."""
-        if self.noise is None:
-            return []
-        return [
-            SpectralField(self.grid, mollify(f, self.mol).coeffs * self.mask)
-            for f in self.noise.eval_all(self.n_noise, u)
-        ]
+    def noise_spectra(self, tag: str, raw: list) -> list:
+        """Noise fields from ``raw`` = [sigma_k(u)]: ``raw`` itself, ``injected``
+        (truncated psi_eps * sigma_k(u)), ``projected`` (its Leray projection,
+        what the dynamics adds) or ``curl`` (curl of the injected field)."""
+        if tag == "raw":
+            return raw
+        if tag == "projected" and self.additive_projected is not None:
+            return [SpectralField(self.grid, c) for c in self.additive_projected]
+        injected = [SpectralField(self.grid, mollify(f, self.mol).coeffs * self.mask) for f in raw]
+        if tag == "injected":
+            return injected
+        if tag == "projected":
+            return [leray_project(g) for g in injected]
+        if tag == "curl":
+            return [curl(g) for g in injected]
+        raise ConfigurationError(f"unknown noise field {tag!r}")
+
+    def additive_phys(self, tag: str, p: int) -> list[np.ndarray]:
+        """Additive-noise fields (see ``noise_spectra``) on the P grid; they do
+        not depend on the state, so each is synthesized once per path."""
+        key = (tag, p)
+        if key not in self._additive_phys:
+            raw = list(self.noise.vector_fields[: self.n_noise])
+            self._additive_phys[key] = [synthesize(g, p)
+                                        for g in self.noise_spectra(tag, raw)]
+        return self._additive_phys[key]
 
     def noise_increment(self, u: SpectralField, db: np.ndarray) -> np.ndarray:
         """Projected noise increment coefficients: P[sum_k g_k dB_k]."""
+        acc = np.zeros_like(u.coeffs)
         if self.additive_projected is not None:
-            acc = np.zeros_like(u.coeffs)
             for g, b in zip(self.additive_projected, db):
                 acc += g * b
             return acc
-        acc = np.zeros_like(u.coeffs)
-        for g, b in zip(self.noise_fields(u), db):
+        raw = self.noise.eval_all(self.n_noise, u)
+        for g, b in zip(self.noise_spectra("injected", raw), db):
             acc += g.coeffs * b
         return leray_project(SpectralField(self.grid, acc)).coeffs
 
@@ -169,17 +197,13 @@ def drift_and_pressure(u: SpectralField, ws: Workspace):
     return drift, p
 
 
-def step(u: SpectralField, t: float, params: RunParams, noise: NoiseModel | None,
-         incs: BrownianIncrements, ws: Workspace | None = None,
-         step_index: int | None = None) -> tuple[SpectralField, ScalarField]:
-    """Advance one Euler-Maruyama step; returns (u_next, pressure diagnostic of u).
+def step(u: SpectralField, j: int, params: RunParams, noise: NoiseModel | None,
+         incs: BrownianIncrements, ws: Workspace) -> tuple[SpectralField, ScalarField]:
+    """Advance u = u_j by step j; returns (u_{j+1}, pressure diagnostic of u_j).
 
     The returned pressure is the left-endpoint gradient pressure of the
     mollified advection, i.e. the diagnostic consistent with the projection.
     """
-    if ws is None:
-        ws = Workspace(params, noise)
-    j = int(round(t / params.dt)) if step_index is None else step_index
     drift, p = drift_and_pressure(u, ws)
     c = u.coeffs + params.dt * drift
     if params.scheme == "em_explicit":
@@ -195,28 +219,64 @@ def step(u: SpectralField, t: float, params: RunParams, noise: NoiseModel | None
     return u_next, p
 
 
+def em_path(params: RunParams, u0: SpectralField, noise: NoiseModel | None,
+            ws: Workspace):
+    """The Euler-Maruyama loop of one path, as a stream.
+
+    Yields ``(j, u_j, p_{j-1})`` for j = 0..n_steps: the state after j steps
+    and the left-endpoint pressure of the state before it (None for j = 0),
+    which step j-1 computes as a by-product. Each state is yielded before
+    the step that leaves it, so a consumer has seen u_j when step j raises
+    BlowUpError(j).
+    """
+    incs = BrownianIncrements(params.seed, params.path_id, params.dt)
+    u = initial_condition(u0, params.epsilon, params.mollifier_kind)
+    p = None
+    for j in range(params.n_steps):
+        yield j, u, p
+        u, p = step(u, j, params, noise, incs, ws)
+    yield params.n_steps, u, p
+
+
 @dataclass
 class Trajectory:
     """States (and pressure diagnostics) of one sample path, stored per stride."""
 
     params: RunParams
     noise: NoiseModel | None
-    states: list[SpectralField]
-    pressures: list[ScalarField]
-    stored_steps: list[int]
-    incs: BrownianIncrements
+    states: list[SpectralField] = field(default_factory=list)
+    pressures: list[ScalarField | None] = field(default_factory=list)
+    stored_steps: list[int] = field(default_factory=list)
 
     @property
-    def times(self) -> np.ndarray:
-        return np.array(self.stored_steps) * self.params.dt
+    def incs(self) -> BrownianIncrements:
+        return BrownianIncrements(self.params.seed, self.params.path_id, self.params.dt)
 
-    @property
-    def stride_one(self) -> bool:
-        return self.params.stride == 1
+    @cached_property
+    def workspace(self) -> Workspace:
+        return Workspace(self.params, self.noise)
 
     def require_stride_one(self, what: str):
-        if not self.stride_one:
+        if self.params.stride != 1:
             raise ConfigurationError(f"{what} requires a stride-1 trajectory")
+
+    def recording(self, stream):
+        """Pass an ``em_path`` stream through, storing every stride-th state
+        (and the last) with its pressure."""
+        for j, u, p_prev in stream:
+            if self.stored_steps and self.stored_steps[-1] == j - 1:
+                self.pressures[-1] = p_prev  # left-endpoint diagnostic of the stored state
+            if j % self.params.stride == 0 or j == self.params.n_steps:
+                self.states.append(u)
+                self.pressures.append(None)
+                self.stored_steps.append(j)
+            yield j, u, p_prev
+
+    def fill_pressures(self):
+        """Compute the pressures no step produced (the last stored state's)."""
+        for idx, p in enumerate(self.pressures):
+            if p is None:
+                self.pressures[idx] = drift_and_pressure(self.states[idx], self.workspace)[1]
 
 
 def integrate(params: RunParams, u0: SpectralField,
@@ -225,32 +285,15 @@ def integrate(params: RunParams, u0: SpectralField,
 
     On blow-up the partial trajectory is attached to the raised error.
     """
-    ws = Workspace(params, noise)
-    incs = BrownianIncrements(params.seed, params.path_id, params.dt)
-    u = initial_condition(u0, params.epsilon, params.mollifier_kind)
-    states, pressures, stored = [u], [None], [0]
-    traj = Trajectory(params, noise, states, pressures, stored, incs)
-    for j in range(params.n_steps):
-        try:
-            u_next, p_j = step(u, j * params.dt, params, noise, incs, ws, step_index=j)
-        except BlowUpError as err:
-            _fill_pressures(traj, ws)
-            raise BlowUpError(err.step, partial=traj) from None
-        if stored[-1] == j:
-            pressures[-1] = p_j  # left-endpoint diagnostic of the stored state
-        u = u_next
-        if (j + 1) % params.stride == 0 or j + 1 == params.n_steps:
-            states.append(u)
-            pressures.append(None)
-            stored.append(j + 1)
-    _fill_pressures(traj, ws)
+    traj = Trajectory(params, noise)
+    try:
+        for _ in traj.recording(em_path(params, u0, noise, traj.workspace)):
+            pass
+    except BlowUpError as err:
+        traj.fill_pressures()
+        raise BlowUpError(err.step, partial=traj) from None
+    traj.fill_pressures()
     return traj
-
-
-def _fill_pressures(traj: Trajectory, ws: Workspace):
-    for idx, p in enumerate(traj.pressures):
-        if p is None:
-            traj.pressures[idx] = drift_and_pressure(traj.states[idx], ws)[1]
 
 
 def noise_term_path(traj: Trajectory) -> list[SpectralField]:
@@ -261,7 +304,7 @@ def noise_term_path(traj: Trajectory) -> list[SpectralField]:
     """
     traj.require_stride_one("noise_term_path")
     params = traj.params
-    ws = Workspace(params, traj.noise)
+    ws = traj.workspace
     acc = np.zeros_like(traj.states[0].coeffs)
     out = [SpectralField(params.grid, acc.copy())]
     for j in range(len(traj.states) - 1):

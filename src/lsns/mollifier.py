@@ -133,18 +133,10 @@ class Mollifier:
     kind: str
     multiplier: np.ndarray  # (M, M, M) real, in (0, 1]
 
-    @property
-    def scale(self) -> float:
-        return self.epsilon
-
 
 @lru_cache(maxsize=64)
 def _multiplier_array(m: int, cutoff: int, epsilon: float, kind: str) -> np.ndarray:
-    grid = Grid(m, cutoff)
-    k2int = grid.k2.astype(np.int64)
-    uniq, inv = np.unique(k2int, return_inverse=True)
-    prof = radial_multiplier(kind, epsilon * np.sqrt(uniq.astype(float)))
-    arr = prof[inv].reshape(k2int.shape)
+    arr = multiplier_on_modes(kind, epsilon, Grid(m, cutoff).k2)
     arr.flags.writeable = False
     return arr
 

@@ -43,9 +43,6 @@ from .spectral import (
 
 KINDS = ("additive", "linear_multiplicative", "cosine")
 
-# extension point for user-defined families; intentionally ships empty
-CUSTOM_FAMILIES: dict = {}
-
 # deterministic low-mode table cycled by the built-in constructors
 MODE_TABLE = (
     (1, 0, 0), (0, 1, 0), (0, 0, 1),
@@ -183,33 +180,24 @@ class NoiseModel:
         in general. Pointwise nonlinearities are sampled on the native grid."""
         if not (1 <= k <= self.max_k):
             raise ConfigurationError(f"noise index k={k} outside 1..{self.max_k}")
-        if self.kind == "additive":
-            return self.vector_fields[k - 1]
-        u_phys = inverse_transform(u)
-        if self.kind == "linear_multiplicative":
-            c_phys = self._phys_cache[k - 1]
-            return forward_transform(self.grid, c_phys[None] * u_phys)
-        # cosine
-        f_phys = self._phys_cache[k - 1]
-        amp = np.cos(k * np.sqrt(1.0 + np.sum(u_phys**2, axis=0)))
-        return forward_transform(self.grid, f_phys * amp[None])
+        return self._evaluate([k], u)[0]
 
     def eval_all(self, n: int, u: SpectralField) -> list[SpectralField]:
         """sigma_1(u) .. sigma_n(u); shares the physical synthesis of u."""
         if n > self.max_k:
             raise ConfigurationError(f"truncation N={n} exceeds stored max_k={self.max_k}")
+        return self._evaluate(range(1, n + 1), u)
+
+    def _evaluate(self, ks, u: SpectralField) -> list[SpectralField]:
         if self.kind == "additive":
-            return list(self.vector_fields[:n])
+            return [self.vector_fields[k - 1] for k in ks]
         u_phys = inverse_transform(u)
-        out = []
         if self.kind == "linear_multiplicative":
-            for k in range(1, n + 1):
-                out.append(forward_transform(self.grid, self._phys_cache[k - 1][None] * u_phys))
-            return out
+            return [forward_transform(self.grid, self._phys_cache[k - 1][None] * u_phys)
+                    for k in ks]
         mod = np.sqrt(1.0 + np.sum(u_phys**2, axis=0))
-        for k in range(1, n + 1):
-            out.append(forward_transform(self.grid, self._phys_cache[k - 1] * np.cos(k * mod)[None]))
-        return out
+        return [forward_transform(self.grid, self._phys_cache[k - 1] * np.cos(k * mod)[None])
+                for k in ks]
 
     def eval_curl(self, k: int, u: SpectralField, m: Mollifier) -> SpectralField:
         """rho_k = psi_eps * [curl sigma_k(u)]; curl and mollification commute."""

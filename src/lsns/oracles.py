@@ -22,12 +22,10 @@ from .mollifier import bump_mass, make_mollifier, radial_multiplier
 from .noise import make_noise_model
 from .spectral import (
     Grid,
-    SpectralField,
     advection_tensor,
-    dealias,
     forward_transform,
-    l2_norm,
     leray_project,
+    random_solenoidal,
     solve_pressure,
 )
 
@@ -43,15 +41,6 @@ class OracleResult:
     tolerance: float
     passed: bool
     seconds: float
-
-
-def _random_solenoidal(grid: Grid, seed: int, amp: float = 1.0) -> SpectralField:
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    f = dealias(leray_project(forward_transform(
-        grid, amp * gen.standard_normal((3, grid.m, grid.m, grid.m)))))
-    c = f.coeffs.copy()
-    c[:, 0, 0, 0] = 0.0
-    return SpectralField(grid, c)
 
 
 def _oracle_forward_dft(m: int, seed: int) -> float:
@@ -83,7 +72,7 @@ def _oracle_leray_matrix(m: int, seed: int) -> float:
 
 def _oracle_pressure(m: int, seed: int) -> float:
     grid = Grid(m)
-    u = _random_solenoidal(grid, seed)
+    u = random_solenoidal(grid, seed)
     p = solve_pressure(u)
     t_hat = advection_tensor(u, u)
     n = grid.wavenumbers
@@ -109,8 +98,8 @@ def _oracle_nonlinear_convolution(m: int, seed: int) -> float:
         grid = Grid(m, dealias_cutoff=m // 2)
     else:
         grid = Grid(m)
-    u = _random_solenoidal(grid, seed)
-    v = _random_solenoidal(grid, seed + 1)
+    u = random_solenoidal(grid, seed)
+    v = random_solenoidal(grid, seed + 1)
     t_hat = advection_tensor(u, v)
     n1 = np.fft.fftfreq(m, d=1.0 / m).astype(int)
     idx = {int(nn): i for i, nn in enumerate(n1)}
@@ -162,7 +151,7 @@ def _oracle_increment_summation(m: int, seed: int) -> float:
     p = RunParams(nu=0.0, epsilon=0.25, dt=1.0 / 32, t_end=0.25, grid=grid,
                   seed=seed, scheme="em_explicit",
                   hooks=Hooks(disable_nonlinearity=True))
-    u0 = _random_solenoidal(grid, seed)
+    u0 = random_solenoidal(grid, seed)
     traj = integrate(p, u0, noise)
     ws = Workspace(p, noise)
     total = np.zeros_like(u0.coeffs)
@@ -202,7 +191,7 @@ def _oracle_riemann_ledger(m: int, seed: int) -> float:
                        TemporalWindow(t_end / 4, 3 * t_end / 4, t_end / 8))
     noise = make_noise_model(grid, "additive", amplitude=0.3, max_k=6)
     p = RunParams(nu=0.02, epsilon=0.25, dt=1.0 / 32, t_end=t_end, grid=grid, seed=seed)
-    u0 = _random_solenoidal(grid, seed, amp=0.7)
+    u0 = random_solenoidal(grid, seed, amp=0.7)
     views = list(iter_views(p, u0, noise))
     led = EnergyLedger(phi)
     led.begin(views[0])
@@ -225,7 +214,7 @@ def _oracle_dr_displacement(m: int, seed: int) -> float:
     from .dissipation import dr_oracle_agreement
 
     grid = Grid(m)
-    u = _random_solenoidal(grid, seed)
+    u = random_solenoidal(grid, seed)
     resolution = 24 if m <= 8 else 40
     return dr_oracle_agreement(u, 1.0 / 8, resolution=resolution)
 

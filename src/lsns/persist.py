@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .integrate import RunParams, Trajectory
-from .rng import BrownianIncrements
 from .spectral import Grid, ScalarField, SpectralField
 
 MAGIC = b"LSNS"
@@ -118,9 +117,7 @@ def load_trajectory(directory, noise=None, verify: bool = True) -> Trajectory:
         pr, _ = read_snapshot(d / pname, grid)
         states.append(u)
         pressures.append(pr)
-    incs = BrownianIncrements(params.seed, params.path_id, params.dt)
-    return Trajectory(params, noise, states, pressures,
-                      list(manifest["stored_steps"]), incs)
+    return Trajectory(params, noise, states, pressures, list(manifest["stored_steps"]))
 
 
 def write_csv(path, columns, rows):

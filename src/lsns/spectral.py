@@ -322,16 +322,34 @@ def divergence_residual(u: SpectralField) -> float:
     return float(np.max(ndotu) / scale)
 
 
-def reality_defect(f: Field) -> float:
-    """Relative departure from conjugate symmetry (0 for real-valued fields)."""
-    phys = sfft.ifftn(f.coeffs, axes=(-3, -2, -1))
-    scale = np.max(np.abs(phys))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(phys.imag)) / scale)
-
-
 def mean_mode(f: Field):
     if f.coeffs.ndim == 4:
         return f.coeffs[:, 0, 0, 0]
     return f.coeffs[0, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# standard initial fields
+
+
+def taylor_green(grid: Grid, amplitude: float = 1.0) -> SpectralField:
+    """Classical Taylor-Green vortex scaled to the unit torus."""
+    x = grid.points()
+    u = np.empty((3, grid.m, grid.m, grid.m))
+    u[0] = np.sin(2 * np.pi * x[0]) * np.cos(2 * np.pi * x[1]) * np.cos(2 * np.pi * x[2])
+    u[1] = -np.cos(2 * np.pi * x[0]) * np.sin(2 * np.pi * x[1]) * np.cos(2 * np.pi * x[2])
+    u[2] = 0.0
+    return forward_transform(grid, amplitude * u)
+
+
+def random_solenoidal(grid: Grid, seed: int, amp: float = 1.0,
+                      smooth: float = 0.0) -> SpectralField:
+    """Mean-free, divergence-free, dealiased projection of Philox(seed) white
+    noise; ``smooth`` > 0 damps mode n by exp(-smooth |n|^2)."""
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    samples = amp * gen.standard_normal((3, grid.m, grid.m, grid.m))
+    c = dealias(leray_project(forward_transform(grid, samples))).coeffs.copy()
+    c[:, 0, 0, 0] = 0.0
+    if smooth > 0:
+        c *= np.exp(-smooth * grid.k2)
+    return SpectralField(grid, c)

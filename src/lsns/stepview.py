@@ -1,16 +1,22 @@
 """Streaming access to per-step fields for the diagnostic ledgers.
 
 A ``StepView`` wraps one state of a path and lazily caches the physical-space
-syntheses the ledgers need (velocity, gradients, pressure, noise fields) on a
-padded grid, so the energy and vorticity ledgers can share them. Views are
-produced either inline while integrating (``iter_views``) or from a stored
-stride-1 trajectory (``views_from_trajectory``); both construct the same
-values, so replayed diagnostics reproduce inline ones bit-exactly.
+syntheses the ledgers need (velocity, gradients, pressure, noise fields), so
+the energy, vorticity and dissipation ledgers share them. Each field has one
+accessor taking the synthesis grid size P: a ledger asks for the native M
+where its integrand is exactly resolved there and for the padded ``pad`` =
+2M otherwise. Every synthesis goes through ``spectral.synthesize``.
 
-All ledger quadrature lives on the 2M-padded physical grid: spatial integrals
-of products of band-limited factors are then exact Riemann means, and the
-pointwise (non-polynomial) vorticity transforms see only the exponentially
-small spectral tail.
+Views come from the one Euler-Maruyama loop (``integrate.em_path``) via
+``views_of`` while integrating (``iter_views``), or from a stored stride-1
+trajectory (``views_from_trajectory``); both construct the same values, so
+replayed diagnostics reproduce inline ones bit-exactly. ``drive`` feeds a
+view stream to the ledgers.
+
+Spatial integrals of products of band-limited factors are exact Riemann
+means on the grids chosen, and the pointwise (non-polynomial) vorticity
+transforms on the padded grid see only the exponentially small spectral
+tail.
 """
 
 from __future__ import annotations
@@ -18,15 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .integrate import (
-    BrownianIncrements,
-    RunParams,
-    Trajectory,
-    Workspace,
-    drift_and_pressure,
-    initial_condition,
-    step,
-)
+from .integrate import RunParams, Trajectory, Workspace, drift_and_pressure, em_path
 from .mollifier import mollify
 from .noise import NoiseModel
 from .spectral import (
@@ -35,7 +33,6 @@ from .spectral import (
     curl,
     grad_components,
     l2_norm,
-    leray_project,
     synthesize,
 )
 
@@ -43,7 +40,7 @@ PAD_FACTOR = 2
 
 
 class StepView:
-    """One state of one path plus lazily cached padded syntheses."""
+    """One state of one path plus lazily cached physical-space syntheses."""
 
     def __init__(self, ws: Workspace, u: SpectralField, index: int,
                  pressure: ScalarField | None):
@@ -61,6 +58,18 @@ class StepView:
             self._cache[key] = builder()
         return self._cache[key]
 
+    def _grad_phys(self, key, p: int, coeffs):
+        """A (3, 3, ...) gradient coefficient array, synthesized row by row."""
+
+        def build():
+            g = coeffs()
+            arr = np.empty((3, 3, p, p, p))
+            for i in range(3):
+                arr[i] = synthesize(SpectralField(self.grid, g[i]), p)
+            return arr
+
+        return self._get((key, p), build)
+
     # -- state fields --------------------------------------------------------
 
     @property
@@ -70,76 +79,35 @@ class StepView:
         return self._pressure
 
     @property
-    def u_phys(self) -> np.ndarray:
-        return self._get("u_phys", lambda: synthesize(self.u, self.pad))
-
-    @property
-    def u_sq(self) -> np.ndarray:
-        return self._get("u_sq", lambda: np.sum(self.u_phys**2, axis=0))
-
-    @property
-    def u_phys_native(self) -> np.ndarray:
-        return self._get("u_phys_n", lambda: synthesize(self.u, self.grid.m))
-
-    @property
-    def u_sq_native(self) -> np.ndarray:
-        return self._get("u_sq_n", lambda: np.sum(self.u_phys_native**2, axis=0))
-
-    @property
-    def grad_u_phys_native(self) -> np.ndarray:
-        def build():
-            g = grad_components(self.u)
-            m = self.grid.m
-            arr = np.empty((3, 3, m, m, m))
-            for i in range(3):
-                arr[i] = synthesize(SpectralField(self.grid, g[i]), m)
-            return arr
-
-        return self._get("grad_u_n", build)
-
-    @property
     def state_l2(self) -> float:
         return self._get("state_l2", lambda: l2_norm(self.u))
 
-    @property
-    def v_phys(self) -> np.ndarray:
+    def u_phys(self, p: int) -> np.ndarray:
+        return self._get(("u", p), lambda: synthesize(self.u, p))
+
+    def u_sq(self, p: int) -> np.ndarray:
+        return self._get(("u_sq", p), lambda: np.sum(self.u_phys(p) ** 2, axis=0))
+
+    def grad_u_phys(self, p: int) -> np.ndarray:
+        """d u_j / d x_i, shape (3, 3, P, P, P)."""
+        return self._grad_phys("grad_u", p, lambda: grad_components(self.u))
+
+    def v_phys(self, p: int) -> np.ndarray:
         """Mollified advecting velocity psi_eps * u (zero when the test hook
         disables the advection, so the ledger matches the hooked system)."""
         if self.ws.params.hooks.disable_nonlinearity:
-            return self._get("v_phys", lambda: np.zeros_like(self.u_phys))
-        return self._get(
-            "v_phys", lambda: synthesize(mollify(self.u, self.ws.mol), self.pad)
+            return self._get(("v", p), lambda: np.zeros_like(self.u_phys(p)))
+        return self._get(("v", p), lambda: synthesize(mollify(self.u, self.ws.mol), p))
+
+    def p_phys(self, p: int) -> np.ndarray:
+        return self._get(("p", p), lambda: synthesize(self.pressure, p))
+
+    def mollified_grad_u_phys(self, p: int) -> np.ndarray:
+        """psi_eps * (d u_j / d x_i) (equals d(psi*u)/dx)."""
+        return self._grad_phys(
+            "mol_grad_u", p,
+            lambda: grad_components(self.u) * self.ws.mol.multiplier[None, None],
         )
-
-    @property
-    def p_phys(self) -> np.ndarray:
-        return self._get("p_phys", lambda: synthesize(self.pressure, self.pad))
-
-    @property
-    def grad_u_phys(self) -> np.ndarray:
-        """d u_j / d x_i on the padded grid, shape (3, 3, P, P, P)."""
-
-        def build():
-            g = grad_components(self.u)
-            arr = np.empty((3, 3, self.pad, self.pad, self.pad))
-            for i in range(3):
-                arr[i] = synthesize(SpectralField(self.grid, g[i]), self.pad)
-            return arr
-
-        return self._get("grad_u", build)
-
-    @property
-    def mollified_grad_u_phys(self) -> np.ndarray:
-        """psi_eps * (d u_j / d x_i) on the padded grid (equals d(psi*u)/dx)."""
-
-        def build():
-            g = grad_components(self.u) * self.ws.mol.multiplier[None, None]
-            arr = np.empty((3, 3, self.pad, self.pad, self.pad))
-            for i in range(3):
-                arr[i] = synthesize(SpectralField(self.grid, g[i]), self.pad)
-            return arr
-
-        return self._get("mol_grad_u", build)
 
     # -- vorticity -----------------------------------------------------------
 
@@ -147,131 +115,63 @@ class StepView:
     def omega(self) -> SpectralField:
         return self._get("omega", lambda: curl(self.u))
 
-    @property
-    def omega_phys(self) -> np.ndarray:
-        return self._get("omega_phys", lambda: synthesize(self.omega, self.pad))
+    def omega_phys(self, p: int) -> np.ndarray:
+        return self._get(("omega", p), lambda: synthesize(self.omega, p))
 
-    @property
-    def grad_omega_phys(self) -> np.ndarray:
-        def build():
-            g = grad_components(self.omega)
-            arr = np.empty((3, 3, self.pad, self.pad, self.pad))
-            for i in range(3):
-                arr[i] = synthesize(SpectralField(self.grid, g[i]), self.pad)
-            return arr
-
-        return self._get("grad_omega", build)
+    def grad_omega_phys(self, p: int) -> np.ndarray:
+        return self._grad_phys("grad_omega", p, lambda: grad_components(self.omega))
 
     # -- noise fields at the left endpoint ------------------------------------
 
-    @property
-    def noise_fields(self) -> list[SpectralField]:
-        """Galerkin-truncated psi_eps * sigma_k(u), the injected coefficients."""
-        return self._get("gk", lambda: self.ws.noise_fields(self.u))
-
-    def noise_phys_on(self, p: int) -> list[np.ndarray]:
-        if self.ws.additive_projected is not None:
-            return self.ws.additive_unprojected_phys(p)
-        return self._get(
-            ("gk_phys", p), lambda: [synthesize(g, p) for g in self.noise_fields]
-        )
-
-    @property
-    def noise_phys(self) -> list[np.ndarray]:
-        return self.noise_phys_on(self.pad)
-
-    def noise_proj_phys_on(self, p: int) -> list[np.ndarray]:
-        if self.ws.additive_projected is not None:
-            return self.ws.additive_projected_phys(p)
-        return self._get(
-            ("gk_proj_phys", p),
-            lambda: [synthesize(leray_project(g), p) for g in self.noise_fields],
-        )
-
-    def noise_raw_phys_on(self, p: int) -> list[np.ndarray]:
-        """Unmollified, untruncated sigma_k(u) (the limit-system compensator)."""
-        if self.ws.noise is None:
+    def noise_phys(self, tag: str, p: int) -> list[np.ndarray]:
+        """The noise fields ``tag`` (see ``Workspace.noise_spectra``) on the P grid."""
+        ws = self.ws
+        if ws.noise is None:
             return []
-        if self.ws.noise.kind == "additive":
-            return self.ws.additive_raw_phys(p)
+        if ws.additive_projected is not None:
+            return ws.additive_phys(tag, p)
+        raw = self._get("noise_raw", lambda: ws.noise.eval_all(ws.n_noise, self.u))
         return self._get(
-            ("gk_raw_phys", p),
-            lambda: [
-                synthesize(g, p)
-                for g in self.ws.noise.eval_all(self.ws.n_noise, self.u)
-            ],
-        )
-
-    @property
-    def noise_curl_phys(self) -> list[np.ndarray]:
-        """rho_k = curl of the injected noise field (projection drops out)."""
-        if self.ws.additive_projected is not None:
-            return self.ws.additive_curl_phys(self.pad)
-        return self._get(
-            "rho_phys", lambda: [synthesize(curl(g), self.pad) for g in self.noise_fields]
+            ("noise", tag, p),
+            lambda: [synthesize(g, p) for g in ws.noise_spectra(tag, raw)],
         )
 
 
-def _attach_additive_caches(ws: Workspace):
-    """Per-path caches of the state-independent additive noise syntheses."""
-    if getattr(ws, "_additive_cache", None) is None:
-        ws._additive_cache = {}
-
-    def cached(tag, builder):
-        def get(pad):
-            key = (tag, pad)
-            if key not in ws._additive_cache:
-                ws._additive_cache[key] = builder(pad)
-            return ws._additive_cache[key]
-
-        return get
-
-    gk = [
-        SpectralField(ws.grid, mollify(f, ws.mol).coeffs * ws.mask)
-        for f in ws.noise.vector_fields[: ws.n_noise]
-    ]
-    ws.additive_unprojected_phys = cached(
-        "g", lambda pad: [synthesize(g, pad) for g in gk]
-    )
-    ws.additive_projected_phys = cached(
-        "gp", lambda pad: [synthesize(SpectralField(ws.grid, c), pad)
-                           for c in ws.additive_projected]
-    )
-    ws.additive_raw_phys = cached(
-        "graw", lambda pad: [synthesize(f, pad) for f in ws.noise.vector_fields[: ws.n_noise]]
-    )
-    ws.additive_curl_phys = cached(
-        "gcurl", lambda pad: [synthesize(curl(g), pad) for g in gk]
-    )
+def views_of(stream, ws: Workspace):
+    """StepViews over an ``em_path`` stream: each view receives its pressure
+    from the step that leaves it, before the next view is yielded."""
+    prev = None
+    for j, u, p_prev in stream:
+        if prev is not None:
+            prev._pressure = p_prev
+        prev = StepView(ws, u, j, pressure=None)
+        yield prev
 
 
-def make_workspace(params: RunParams, noise: NoiseModel | None) -> Workspace:
-    ws = Workspace(params, noise)
-    if ws.additive_projected is not None:
-        _attach_additive_caches(ws)
-    return ws
-
-
-def iter_views(params: RunParams, u0: SpectralField, noise: NoiseModel | None,
-               ws: Workspace | None = None):
+def iter_views(params: RunParams, u0: SpectralField, noise: NoiseModel | None):
     """Integrate a path, yielding a StepView per state (terminal included)."""
-    if ws is None:
-        ws = make_workspace(params, noise)
-    incs = BrownianIncrements(params.seed, params.path_id, params.dt)
-    u = initial_condition(u0, params.epsilon, params.mollifier_kind)
-    for j in range(params.n_steps):
-        u_next, p_j = step(u, j * params.dt, params, noise, incs, ws, step_index=j)
-        yield StepView(ws, u, j, pressure=p_j)
-        u = u_next
-    yield StepView(ws, u, params.n_steps, pressure=None)
+    ws = Workspace(params, noise)
+    return views_of(em_path(params, u0, noise, ws), ws)
 
 
 def views_from_trajectory(traj: Trajectory):
     """Replay StepViews from stored states; identical to inline views."""
     traj.require_stride_one("ledger replay")
-    ws = make_workspace(traj.params, traj.noise)
     for j, (u, p) in enumerate(zip(traj.states, traj.pressures)):
-        yield StepView(ws, u, j, pressure=p)
+        yield StepView(traj.workspace, u, j, pressure=p)
+
+
+def trajectory_step(traj: Trajectory, j: int, ledger, what: str):
+    """Advance ``ledger`` by step j of a stride-1 trajectory, beginning it at
+    step 0 if it is fresh (the spec-style per-step API of the ledgers)."""
+    traj.require_stride_one(what)
+    view = lambda i: StepView(traj.workspace, traj.states[i], i, traj.pressures[i])
+    if not ledger.steps:
+        ledger.begin(view(0))
+    if ledger.steps[-1] != j:
+        raise ConfigurationError(f"ledger is at step {ledger.steps[-1]}, expected {j}")
+    ledger.advance(view(j), view(j + 1))
+    return ledger
 
 
 def drive(views, consumers: list):
@@ -287,8 +187,4 @@ def drive(views, consumers: list):
         for c in consumers:
             c.advance(prev, view)
         prev = view
-    for c in consumers:
-        done = getattr(c, "finish", None)
-        if done is not None:
-            done(prev)
     return consumers

@@ -23,12 +23,16 @@ off convergence test pins the sign numerically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from .energy import close_martingale
 from .errors import ConfigurationError
-from .stepview import StepView
+from .persist import write_csv
+from .stepview import StepView, trajectory_step
 
 __all__ = [
     "HFunction", "h_eval", "q_gradient_hessian", "BoundViolation",
@@ -153,6 +157,7 @@ class VorticityLedger:
         "grad_norm", "martingale", "qv_predicted", "qv_realized",
         "holder_margin", "norm_chain_ok",
     ]
+    key = "vorticity:default"
 
     def __init__(self, hf: HFunction):
         self.hf = hf
@@ -171,14 +176,14 @@ class VorticityLedger:
         self.qv_predicted: list[float] = []
         self.qv_realized: list[float] = []
         self.martingale: list[float] = []
-        self.holder_margin: list[float] = []
+        self.holder_margin: list[float] = []    # per step (undefined at row 0)
         self.norm_chain_ok: list[bool] = []
         self.state_l2: list[float] = []
 
     # -- state-quantity helpers ------------------------------------------------
 
     def _state_quantities(self, view: StepView):
-        om = view.omega_phys
+        om = view.omega_phys(view.pad)
         alpha = 1.0 + np.sum(om * om, axis=0)
         l1 = float(np.mean(np.sqrt(alpha - 1.0)))
         sm = float(np.mean(np.sqrt(alpha)))
@@ -192,7 +197,7 @@ class VorticityLedger:
         self._append(view, l1, sm, w)
 
     def _append(self, view, l1, sm, w, hess=0.0, sur=0.0, stretch=0.0,
-                comp=0.0, gn=0.0, qv=0.0, margin=np.inf):
+                comp=0.0, gn=0.0, qv=0.0, margin=None):
         self.steps.append(view.index)
         self.times.append(view.t)
         self.l1.append(l1)
@@ -204,32 +209,29 @@ class VorticityLedger:
         self.noise_comp.append(comp)
         self.grad_norm.append(gn)
         self.qv_predicted.append(qv)
-        n = self.residual(-1)
-        if self.martingale:
-            self.qv_realized.append(self.qv_realized[-1] + (n - self.martingale[-1]) ** 2)
-        else:
-            self.qv_realized.append(0.0)
-        self.martingale.append(n)
-        self.holder_margin.append(margin)
+        close_martingale(self)
+        if margin is not None:
+            self.holder_margin.append(margin)
         self.norm_chain_ok.append(l1 <= sm + 1e-12 and sm <= 1.0 + l1 + 1e-12)
         self.state_l2.append(view.state_l2)
 
     def advance(self, view: StepView, nxt: StepView):
         dt = view.ws.params.dt
         d = self.hf.delta
-        om = view.omega_phys
+        p = view.pad
+        om = view.omega_phys(p)
         alpha = 1.0 + np.sum(om * om, axis=0)
         hp = self.hf.h_prime(alpha)
         hpp = self.hf.h_second(alpha)
-        gom = view.grad_omega_phys                      # gom[l, i] = d_l om_i
+        gom = view.grad_omega_phys(p)                   # gom[l, i] = d_l om_i
         s1 = np.einsum("lixyz,lixyz->xyz", gom, gom)
         proj = np.einsum("lixyz,ixyz->lxyz", gom, om)   # d_l om . om
         s2 = np.einsum("lxyz,lxyz->xyz", proj, proj)
         hess_rate = float(np.mean(2.0 * hp * s1 + 4.0 * hpp * s2))
         sur_rate = 0.5 * d * float(np.mean(alpha ** (-(1.0 + d) / 2.0) * s1))
 
-        a = view.mollified_grad_u_phys                  # a[j, l] = d_j (psi*u)_l
-        b = view.grad_u_phys                            # b[l, k] = d_l u_k
+        a = view.mollified_grad_u_phys(p)               # a[j, l] = d_j (psi*u)_l
+        b = view.grad_u_phys(p)                         # b[l, k] = d_l u_k
         ab = np.einsum("jlxyz,lkxyz->jkxyz", a, b)
         c = np.empty_like(om)
         c[0] = ab[1, 2] - ab[2, 1]
@@ -240,7 +242,7 @@ class VorticityLedger:
 
         comp_rate = 0.0
         qv_rate = 0.0
-        for rho in view.noise_curl_phys:
+        for rho in view.noise_phys("curl", p):
             rho2 = np.sum(rho * rho, axis=0)
             rdot = np.sum(rho * om, axis=0)
             comp_rate += 0.5 * float(np.mean(2.0 * hp * rho2 + 4.0 * hpp * rdot**2))
@@ -275,32 +277,47 @@ class VorticityLedger:
         )
 
     def rows(self):
+        margins = [None] + self.holder_margin  # no step has run at row 0
         for i in range(len(self.steps)):
             yield [
                 self.steps[i], self.times[i], self.l1[i], self.sqrt_moment[i],
                 self.w_int[i], self.hess_enstrophy[i], self.surrogate[i],
                 self.stretching[i], self.noise_comp[i], self.grad_norm[i],
                 self.martingale[i], self.qv_predicted[i], self.qv_realized[i],
-                self.holder_margin[i], self.norm_chain_ok[i],
+                margins[i], self.norm_chain_ok[i],
             ]
+
+    def min_holder_margin(self) -> float:
+        return min(self.holder_margin, default=math.inf)
+
+    def payload(self) -> dict:
+        """The path-record entry: the series and bounds the summary needs."""
+        return {
+            "times": list(self.times),
+            "martingale": list(self.martingale),
+            "sup_l1": max(self.l1),
+            "grad_norm": self.grad_norm[-1],
+            "min_holder_margin": self.min_holder_margin(),
+            "norm_chain_ok": all(self.norm_chain_ok),
+            "epsilon": self.epsilon,
+            "qv_predicted": list(self.qv_predicted),
+            "qv_realized": list(self.qv_realized),
+            "state_l2": list(self.state_l2),
+        }
+
+    def store(self, record: dict):
+        record["vorticity"] = self.payload()
+
+    def export(self, directory, path_id: int) -> Path:
+        path = Path(directory) / f"vorticity_{path_id:06d}.csv"
+        write_csv(path, self.CSV_COLUMNS, self.rows())
+        return path
 
 
 def vorticity_ledger_step(traj, j: int, hf: HFunction,
                           ledger: VorticityLedger | None = None) -> VorticityLedger:
     """Advance a vorticity ledger one step of a stride-1 trajectory."""
-    from .stepview import StepView, make_workspace
-
-    traj.require_stride_one("vorticity ledger")
-    ws = make_workspace(traj.params, traj.noise)
-    if ledger is None or not ledger.steps:
-        ledger = ledger or VorticityLedger(hf)
-        ledger.begin(StepView(ws, traj.states[0], 0, traj.pressures[0]))
-    if ledger.steps[-1] != j:
-        raise ConfigurationError(f"ledger is at step {ledger.steps[-1]}, expected {j}")
-    view = StepView(ws, traj.states[j], j, traj.pressures[j])
-    nxt = StepView(ws, traj.states[j + 1], j + 1, traj.pressures[j + 1])
-    ledger.advance(view, nxt)
-    return ledger
+    return trajectory_step(traj, j, ledger or VorticityLedger(hf), "vorticity ledger")
 
 
 @dataclass(frozen=True)
@@ -328,8 +345,7 @@ def vorticity_bounds_report(ledgers: list[VorticityLedger]) -> VorticityBoundsRe
         raise ConfigurationError(f"mixed-epsilon ensemble rejected: {sorted(eps)}")
     sup_l1 = np.array([max(led.l1) for led in ledgers])
     gn = np.array([led.grad_norm[-1] for led in ledgers])
-    margins = [min(led.holder_margin) for led in ledgers]
-    minm = float(min(margins)) if margins else np.inf
+    minm = float(min(led.min_holder_margin() for led in ledgers))
     chain = all(all(led.norm_chain_ok) for led in ledgers)
     nps = len(ledgers)
     return VorticityBoundsReport(

@@ -1,15 +1,13 @@
-"""Shared helpers for the test suite: seeded random fields and oracles."""
+"""Shared helpers for the test suite: seeded random fields and oracles.
+
+The standard initial fields (``random_solenoidal``, ``taylor_green``) are the
+package's own constructors, re-exported here.
+"""
 
 import numpy as np
 
-from lsns.spectral import (
-    Grid,
-    SpectralField,
-    dealias,
-    forward_transform,
-    inverse_transform,
-    leray_project,
-)
+from lsns.spectral import Grid, SpectralField, forward_transform
+from lsns.spectral import random_solenoidal, taylor_green  # noqa: F401
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -28,28 +26,6 @@ def random_scalar_samples(grid: Grid, seed: int, amp: float = 1.0) -> np.ndarray
 
 def random_field(grid: Grid, seed: int, amp: float = 1.0) -> SpectralField:
     return forward_transform(grid, random_vector_samples(grid, seed, amp))
-
-
-def random_solenoidal(grid: Grid, seed: int, amp: float = 1.0,
-                      smooth: float = 0.0) -> SpectralField:
-    """Random divergence-free dealiased field; `smooth` > 0 damps high modes."""
-    f = dealias(leray_project(random_field(grid, seed, amp)))
-    if smooth > 0.0:
-        damp = np.exp(-smooth * grid.k2)
-        f = SpectralField(grid, f.coeffs * damp)
-    c = f.coeffs.copy()
-    c[:, 0, 0, 0] = 0.0
-    return SpectralField(grid, c)
-
-
-def taylor_green(grid: Grid, amplitude: float = 1.0) -> SpectralField:
-    """Classical Taylor-Green vortex scaled to the unit torus."""
-    x = grid.points()
-    u = np.empty((3, grid.m, grid.m, grid.m))
-    u[0] = np.sin(2 * np.pi * x[0]) * np.cos(2 * np.pi * x[1]) * np.cos(2 * np.pi * x[2])
-    u[1] = -np.cos(2 * np.pi * x[0]) * np.sin(2 * np.pi * x[1]) * np.cos(2 * np.pi * x[2])
-    u[2] = 0.0
-    return forward_transform(grid, amplitude * u)
 
 
 def dft_oracle(samples: np.ndarray) -> np.ndarray:

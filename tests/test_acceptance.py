@@ -222,12 +222,20 @@ def test_criterion_10_vorticity_ledger(tmp_path):
         sups.append(float(np.max(np.abs(np.asarray(led.martingale)))))
     order = float(np.polyfit(np.log([1.0, 0.5, 0.25]), np.log(sups), 1)[0])
 
+    # the energy test window (T/4, 3T/4), ramp T/8, of this shorter horizon
+    t_end = 0.125
     cfg = _ensemble_config(
         tmp_path / "c10", paths=256, seed=4026,
-        run_over={"t_end": 0.125,
+        run_over={"t_end": t_end,
                   "initial_condition": {"kind": "taylor_green", "amplitude": 0.8}},
         noise_over={"amplitude": 0.4, "ratio": 0.5},
-        diag_over={"vorticity": {"delta": 0.5}},
+        diag_over={
+            "test_functions": [
+                {"name": "phi", "spatial": {"exponent": 1},
+                 "temporal": {"a": t_end / 4, "b": 3 * t_end / 4, "ramp": t_end / 8}},
+            ],
+            "vorticity": {"delta": 0.5},
+        },
     )
     summary = run_experiment(cfg)
     block = summary["tests"]["vorticity"]

@@ -36,8 +36,8 @@ def window(t_end=0.25):
     return TemporalWindow(t_end / 4, 3 * t_end / 4, t_end / 8)
 
 
-def run_ledger(p, u0, noise, phi, track_raw=True):
-    led = EnergyLedger(phi, track_raw=track_raw)
+def run_ledger(p, u0, noise, phi):
+    led = EnergyLedger(phi)
     drive(iter_views(p, u0, noise), [led])
     return led
 
@@ -178,13 +178,13 @@ def test_frozen_drift_exact_ito_oracle():
     led = EnergyLedger(phi)
     drive(views_from_trajectory(traj), [led])
 
-    from lsns.stepview import make_workspace
+    from lsns.integrate import Workspace
 
-    ws = make_workspace(p, noise)
+    ws = Workspace(p, noise)
     pr = 2 * G8.m
     s = phi.spatial_values(pr)
-    g_phys = ws.additive_projected_phys(pr)
-    g_unproj = ws.additive_unprojected_phys(pr)
+    g_phys = ws.additive_phys("projected", pr)
+    g_unproj = ws.additive_phys("injected", pr)
     ito = 0.0
     for j in range(p.n_steps):
         u_phys = synthesize(traj.states[j], pr)

@@ -211,6 +211,7 @@ def test_replay_reproduces_inline_csvs(tmp_path):
     assert inline_csv.read_bytes() == before
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_report_aggregates(tmp_path):
     cfg = ExperimentConfig.parse(base_config(tmp_path))
     run_experiment(cfg)
@@ -218,8 +219,89 @@ def test_report_aggregates(tmp_path):
     assert "energy_bump" in payload["ensemble_csv"]
     agg = Path(payload["ensemble_csv"]["energy_bump"])
     assert agg.exists()
+    # the row-0 Hoelder margin is undefined: left empty, never inf or nan
+    text = Path(payload["ensemble_csv"]["vorticity"]).read_text().lower()
+    assert "nan" not in text and "inf" not in text
     with pytest.raises(ConfigurationError):
         report(tmp_path)  # no summary.json here
+
+
+def test_noise_off_verdict_is_degenerate_not_pass(tmp_path):
+    # every path is the same deterministic path: zero spread is no evidence
+    doc = base_config(tmp_path)
+    doc["noise"] = {"kind": "off"}
+    doc["ensemble"]["paths"] = 2
+    summary = run_experiment(ExperimentConfig.parse(doc))
+    block = summary["tests"]["energy:bump"]
+    assert block["terminal_martingale"]["stderr"] == 0.0
+    assert block["zero_mean_pass"] is False
+    status = {v["test"]: v for v in summary["verdicts"]}
+    verdict = status["energy:bump/terminal_martingale"]
+    assert verdict["status"] == "degenerate" and "stderr = 0" in verdict["reason"]
+    assert summary["all_passed"] is False
+
+
+def test_resume_recomputes_records_of_another_config(tmp_path):
+    doc = base_config(tmp_path)
+    doc["ensemble"]["paths"] = 2
+    first = run_experiment(ExperimentConfig.parse(doc))
+    doc["run"]["nu"] = 0.03
+    doc["noise"]["amplitude"] = 0.2
+    cfg = ExperimentConfig.parse(doc)
+    second = run_experiment(cfg)
+    fresh = [run_one_path(cfg, pid) for pid in range(2)]
+    for pid in range(2):
+        rec = json.loads((tmp_path / "out" / "paths" / f"path_{pid:06d}.json").read_text())
+        assert rec["config_digest"] == cfg.results_digest()
+        assert rec == json.loads(json.dumps(fresh[pid]))
+    assert second["tests"] != first["tests"]
+
+    # the output block, path count and workers do not enter the digest
+    doc["output"]["write_csv"] = False
+    doc["ensemble"]["workers"] = 2
+    doc["ensemble"]["paths"] = 3
+    assert ExperimentConfig.parse(doc).results_digest() == cfg.results_digest()
+
+
+def test_bad_ledger_plans_fail_at_parse_time(tmp_path):
+    doc = base_config(tmp_path)
+    doc["diagnostics"] = {"dissipation": {"ell_values": [0.25, 0.125]}}
+    with pytest.raises(ConfigurationError, match="test function"):
+        ExperimentConfig.parse(doc)
+
+    doc = base_config(tmp_path)
+    doc["diagnostics"]["lei_xi"] = ["one", "golden"]
+    with pytest.raises(ConfigurationError, match="lei_xi"):
+        ExperimentConfig.parse(doc)
+
+    doc = base_config(tmp_path)
+    doc["output"]["save_snapshots"] = True
+    doc["ensemble"]["paths"] = 1
+    run_experiment(ExperimentConfig.parse(doc))
+    manifest = tmp_path / "out" / "trajectory_000000" / "manifest.json"
+    with pytest.raises(ConfigurationError, match="test function"):
+        replay(manifest, {"dissipation": {"ell_values": [0.25, 0.125]}}, tmp_path / "r")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"dissipation": {"ell_values": [0.25, 0.125]}}))
+    res = CliRunner().invoke(cli_main, ["replay", str(manifest), str(spec)])
+    assert res.exit_code == 2, res.output
+
+
+def test_strided_snapshots_with_ledgers(tmp_path):
+    csvs = {}
+    for stride in (1, 2):
+        doc = base_config(tmp_path / f"s{stride}")
+        doc["output"].update(stride=stride, save_snapshots=True)
+        doc["ensemble"]["paths"] = 1
+        summary = run_experiment(ExperimentConfig.parse(doc))
+        assert summary["paths_completed"] == 1
+        out = Path(doc["output"]["directory"])
+        csvs[stride] = (out / "paths" / "energy_bump_000000.csv").read_bytes()
+    assert csvs[2] == csvs[1]
+    manifest = tmp_path / "s2" / "out" / "trajectory_000000" / "manifest.json"
+    assert json.loads(manifest.read_text())["stored_steps"] == [0, 2]
+    with pytest.raises(ConfigurationError, match="stride-1"):
+        replay(manifest, doc["diagnostics"], tmp_path / "r")
 
 
 def test_initial_field_kinds(tmp_path):
