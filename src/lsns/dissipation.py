@@ -266,10 +266,14 @@ class DRLedger:
 
     def advance(self, view: StepView, nxt: StepView):
         w1 = self.phi.theta_integral(view.t, nxt.t)
-        kernel = DRKernel(view.u_phys(view.pad), view.u_sq(view.pad))
-        for v in self.config.ell_values:
-            d_phi = 0.25 * float(np.mean(sum(kernel.terms(self._mults[v])) * self._s))
-            self.series[v].append(self.series[v][-1] + w1 * d_phi)
+        if w1 == 0.0:  # outside the temporal support every increment is 0.0
+            for series in self.series.values():
+                series.append(series[-1])
+        else:
+            kernel = DRKernel(view.u_phys(view.pad), view.u_sq(view.pad))
+            for v in self.config.ell_values:
+                d_phi = 0.25 * float(np.mean(sum(kernel.terms(self._mults[v])) * self._s))
+                self.series[v].append(self.series[v][-1] + w1 * d_phi)
         self.times.append(nxt.t)
         self.state_l2.append(nxt.state_l2)
 

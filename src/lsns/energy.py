@@ -74,6 +74,7 @@ class EnergyLedger:
         self.state_l2: list[float] = []
         self._initial_energy = 0.0
         self._s = None  # spatial arrays cached on first view
+        self._fixed_means: dict = {}  # additive-noise means, see _noise_sq_means
 
     @property
     def key(self) -> str:
@@ -83,15 +84,18 @@ class EnergyLedger:
 
     def begin(self, view: StepView):
         grid = view.grid
-        # quadratic integrands (bandwidth 2K + bw) are exact on the native
-        # grid when it resolves them; cubic flux terms always use the pad
-        bw = self.phi.spatial_bandwidth
-        native_ok = 2 * grid.dealias_cutoff + bw <= grid.m - 1
+        # a Riemann mean over P points is exact for per-axis degree < P:
+        # quadratic integrands (degree 2K + bw) use the native grid when it
+        # resolves them, the cubic flux terms (3K + bw) the smallest even
+        # grid that does, and the unmollified noise term the pad
+        k, bw = grid.dealias_cutoff, self.phi.spatial_bandwidth
+        native_ok = 2 * k + bw <= grid.m - 1
         self._pq = grid.m if native_ok else view.pad
+        self._pf = min(view.pad, max(grid.m, 2 * bw, 2 * ((3 * k + bw) // 2 + 1)))
         self._s = self.phi.spatial_values(self._pq)
         self._lap_s = self.phi.spatial_laplacian(self._pq)
         self._s_pad = self.phi.spatial_values(view.pad)
-        self._grad_s_pad = self.phi.spatial_grad(view.pad)
+        self._grad_s_f = self.phi.spatial_grad(self._pf)
         self._initial_energy = self._local_energy(view)
         self._append_state(view, le=self._initial_energy)
 
@@ -101,8 +105,17 @@ class EnergyLedger:
         w1 = self.phi.theta_integral(view.t, nxt.t)
         w2 = self.phi.theta_integral(view.t, nxt.t, power=2)
         dth = self.phi.theta_increment(view.t, nxt.t)
+        if w1 == 0.0 and w2 == 0.0 and dth == 0.0:
+            # outside the temporal support every increment is exactly 0.0
+            self._append_state(
+                nxt, le=self._local_energy(nxt), enst=self.enstrophy[-1],
+                trans=self.transport[-1], flux=self.flux[-1],
+                comp=self.compensator[-1], comp_proj=self.compensator_projected[-1],
+                comp_raw=self.compensator_unmollified[-1], qv_pred=self.qv_predicted[-1],
+            )
+            return
         nu = view.ws.params.nu
-        pq, pad = self._pq, view.pad
+        pq, pf, pad = self._pq, self._pf, view.pad
 
         gu = view.grad_u_phys(pq)
         gradsq = np.einsum("ijxyz,ijxyz->xyz", gu, gu)
@@ -113,10 +126,10 @@ class EnergyLedger:
             + nu * w1 * _MEAN(view.u_sq(pq) * self._lap_s)
         )
 
-        vdot = np.einsum("ixyz,ixyz->xyz", view.v_phys(pad), self._grad_s_pad)
-        udot = np.einsum("ixyz,ixyz->xyz", view.u_phys(pad), self._grad_s_pad)
+        vdot = np.einsum("ixyz,ixyz->xyz", view.v_phys(pf), self._grad_s_f)
+        udot = np.einsum("ixyz,ixyz->xyz", view.u_phys(pf), self._grad_s_f)
         flux = self.flux[-1] + w1 * (
-            _MEAN(view.u_sq(pad) * vdot) + 2.0 * _MEAN(view.p_phys(pad) * udot)
+            _MEAN(view.u_sq(pf) * vdot) + 2.0 * _MEAN(view.p_phys(pf) * udot)
         )
 
         comp = self.compensator[-1]
@@ -125,14 +138,15 @@ class EnergyLedger:
         qv_pred = self.qv_predicted[-1]
         if view.ws.noise is not None:
             up = view.u_phys(pq)
-            for g in view.noise_phys("injected", pq):
-                comp += w1 * _MEAN(np.sum(g * g, axis=0) * self._s)
+            injected = view.noise_phys("injected", pq)
+            for g, gg in zip(injected, self._noise_sq_means(view, "injected", pq, self._s)):
+                comp += w1 * gg
                 pairing = _MEAN(np.sum(g * up, axis=0) * self._s)
                 qv_pred += 4.0 * w2 * pairing**2
-            for g in view.noise_phys("projected", pq):
-                comp_proj += w1 * _MEAN(np.sum(g * g, axis=0) * self._s)
-            for g in view.noise_phys("raw", pad):
-                comp_raw += w1 * _MEAN(np.sum(g * g, axis=0) * self._s_pad)
+            for gg in self._noise_sq_means(view, "projected", pq, self._s):
+                comp_proj += w1 * gg
+            for gg in self._noise_sq_means(view, "raw", pad, self._s_pad):
+                comp_raw += w1 * gg
 
         self._append_state(
             nxt,
@@ -141,10 +155,21 @@ class EnergyLedger:
             comp=comp, comp_proj=comp_proj, comp_raw=comp_raw, qv_pred=qv_pred,
         )
 
+    def _noise_sq_means(self, view: StepView, tag: str, p: int, s) -> list[float]:
+        """Per-field means of |g_k|^2 s on the P grid; additive noise fields
+        are the same at every step, so their means are computed once."""
+        if (tag, p) in self._fixed_means:
+            return self._fixed_means[tag, p]
+        means = [_MEAN(np.sum(g * g, axis=0) * s) for g in view.noise_phys(tag, p)]
+        if view.ws.additive_projected is not None:
+            self._fixed_means[tag, p] = means
+        return means
+
     # -- accounting ------------------------------------------------------------
 
     def _local_energy(self, view: StepView) -> float:
-        return self.phi.theta(view.t) * _MEAN(view.u_sq(self._pq) * self._s)
+        theta = self.phi.theta(view.t)
+        return theta * _MEAN(view.u_sq(self._pq) * self._s) if theta != 0.0 else 0.0
 
     def _append_state(self, view: StepView, le: float, enst: float = 0.0,
                       trans: float = 0.0, flux: float = 0.0, comp: float = 0.0,

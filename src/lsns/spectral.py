@@ -177,13 +177,19 @@ def synthesize(f: Field, p: int) -> np.ndarray:
     """Evaluate a field's trigonometric polynomial on a finer P^3 grid.
 
     Exact for fields whose Nyquist planes are empty (always true for
-    dealiased fields and the low-order test functions used here).
+    dealiased fields and the low-order test functions used here); those
+    take the real-to-real route, as every field here is real-valued.
     """
     m = f.grid.m
     if p == m:
         return inverse_transform(f)
     if p < m:
         raise ConfigurationError(f"synthesis grid P={p} finer than source M={m} required")
+    c = f.coeffs
+    h = m // 2
+    if not (c[..., h, :, :].any() or c[..., h, :].any() or c[..., h].any()):
+        return _synthesize_real(c, h, p)
+    # a populated Nyquist plane: synthesize the full complex spectrum
     idx = _pad_index(m, p)
     if f.coeffs.ndim == 4:
         out = np.zeros((3, p, p, p), dtype=complex)
@@ -192,6 +198,24 @@ def synthesize(f: Field, p: int) -> np.ndarray:
         out = np.zeros((p, p, p), dtype=complex)
         out[np.ix_(idx, idx, idx)] = f.coeffs
     return sfft.ifftn(out * p**3, axes=(-3, -2, -1)).real
+
+
+def _synthesize_real(c: np.ndarray, h: int, p: int) -> np.ndarray:
+    """Real P^3 samples of Hermitian coefficients c (M = 2h per axis) with
+    empty Nyquist planes, one axis at a time: the z half-spectrum is
+    transformed along y and x only where it is populated, then c2r along z.
+    About a third of the work of the padded c2c transform."""
+    lead = c.shape[:-3]
+    half = c[..., :h]                                   # kz = 0 .. h-1
+    a = np.zeros(lead + (2 * h, p, h), dtype=complex)   # pad y to P
+    a[..., :h, :] = half[..., :h, :]
+    a[..., p - h + 1:, :] = half[..., h + 1:, :]
+    a = sfft.ifft(a, axis=-2, norm="forward")
+    b = np.zeros(lead + (p, p, h), dtype=complex)       # pad x to P
+    b[..., :h, :, :] = a[..., :h, :, :]
+    b[..., p - h + 1:, :, :] = a[..., h + 1:, :, :]
+    b = sfft.ifft(b, axis=-3, norm="forward", overwrite_x=True)
+    return sfft.irfft(b, n=p, axis=-1, norm="forward")
 
 
 # ---------------------------------------------------------------------------

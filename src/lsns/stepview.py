@@ -3,9 +3,10 @@
 A ``StepView`` wraps one state of a path and lazily caches the physical-space
 syntheses the ledgers need (velocity, gradients, pressure, noise fields), so
 the energy, vorticity and dissipation ledgers share them. Each field has one
-accessor taking the synthesis grid size P: a ledger asks for the native M
-where its integrand is exactly resolved there and for the padded ``pad`` =
-2M otherwise. Every synthesis goes through ``spectral.synthesize``.
+accessor taking the synthesis grid size P: a ledger asks for the smallest
+grid (from the native M up to the padded ``pad`` = 2M) on which its
+integrand is exactly resolved, and for ``pad`` where no finite grid is.
+Every synthesis goes through ``spectral.synthesize``.
 
 Views come from the one Euler-Maruyama loop (``integrate.em_path``) via
 ``views_of`` while integrating (``iter_views``), or from a stored stride-1

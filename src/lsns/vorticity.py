@@ -228,7 +228,8 @@ class VorticityLedger:
         proj = np.einsum("lixyz,ixyz->lxyz", gom, om)   # d_l om . om
         s2 = np.einsum("lxyz,lxyz->xyz", proj, proj)
         hess_rate = float(np.mean(2.0 * hp * s1 + 4.0 * hpp * s2))
-        sur_rate = 0.5 * d * float(np.mean(alpha ** (-(1.0 + d) / 2.0) * s1))
+        sur_mean = float(np.mean(alpha ** (-(1.0 + d) / 2.0) * s1))
+        sur_rate = 0.5 * d * sur_mean
 
         a = view.mollified_grad_u_phys(p)               # a[j, l] = d_j (psi*u)_l
         b = view.grad_u_phys(p)                         # b[l, k] = d_l u_k
@@ -251,8 +252,7 @@ class VorticityLedger:
         expo = 2.0 / (3.0 + d)
         gn_rate = float(np.mean(s1**expo))
         # per-step Hoelder chain: lhs <= surrogate-integrand^{2/(3+d)} * moment^{(1+d)/(3+d)}
-        rhs = float(np.mean(alpha ** (-(1.0 + d) / 2.0) * s1)) ** expo \
-            * float(np.mean(alpha)) ** ((1.0 + d) / (3.0 + d))
+        rhs = sur_mean ** expo * float(np.mean(alpha)) ** ((1.0 + d) / (3.0 + d))
         margin = rhs - gn_rate
 
         l1, sm, w = self._state_quantities(nxt)
