@@ -36,7 +36,7 @@ from .errors import ConfigurationError
 from .mollifier import bump_mass, multiplier_on_modes
 from .persist import atomic_write_json
 from .spectral import Grid, ScalarField, SpectralField, synthesize
-from .stepview import StepView
+from .stepview import SUM, Ledger, StepView
 from .testfunc import TestFunction
 
 
@@ -199,13 +199,15 @@ def displacement_quadrature_dr(u: SpectralField, ell: float,
     keep = np.any(grads != 0.0, axis=1)
     ys, grads, w3 = ys[keep], grads[keep], w3[keep]
 
-    n = g.wavenumbers
-    u_phys = synthesize(u, g.m)
     m = g.m
+    n1 = np.fft.fftfreq(m, d=1.0 / m)
+    u_half = u.coeffs[..., : m // 2 + 1] * m**3  # kz >= 0: u is real and dealiased
+    u_phys = synthesize(u, m)
     acc = np.zeros((m, m, m))
     for y, ga, w in zip(ys, grads, w3):
-        phase = np.exp(2j * np.pi * (n[0] * y[0] + n[1] * y[1] + n[2] * y[2]))
-        shifted = sfft.ifftn(u.coeffs * phase[None] * m**3, axes=(-3, -2, -1)).real
+        ex, ey, ez = (np.exp(2j * np.pi * n1 * yi) for yi in y)
+        phase = ex[:, None, None] * ey[None, :, None] * ez[None, None, : m // 2 + 1]
+        shifted = sfft.irfftn(u_half * phase, s=(m, m, m), axes=(-3, -2, -1))
         delta = shifted - u_phys
         acc += w * (ga[0] * delta[0] + ga[1] * delta[1] + ga[2] * delta[2]) \
             * np.sum(delta * delta, axis=0)
@@ -231,25 +233,26 @@ def dr_oracle_agreement(u: SpectralField, ell: float, kind: str = "paper_bump",
 # time-integrated dissipation ledger
 
 
-class DRLedger:
+class DRLedger(Ledger):
     """Per-path series D_t^l = int_0^t int D^l(u) phi dx ds for an ell ladder.
 
     Reports Cauchy differences between consecutive ladder scales as the
-    l -> 0 diagnostic (never extrapolated). Combined with an energy ledger
-    driven over the same path it yields the local-energy-equality closure
-    residual  [E_t + 2 D_t^{l_min}] - [compensator + N_t].
+    l -> 0 diagnostic (never extrapolated). Its series table has one ``SUM``
+    column per ladder scale, keyed by ell.
     """
 
     CSV_COLUMNS = None  # no per-path CSV; ``export`` writes the series as JSON
     key = "dissipation:default"
 
     def __init__(self, phi: TestFunction, config: DRConfig):
+        super().__init__({v: SUM for v in config.ell_values})
         self.phi = phi
         self.config = config
-        self.times: list[float] = []
-        self.state_l2: list[float] = []
-        self.series: dict[float, list[float]] = {v: [] for v in config.ell_values}
         self._mults = None
+
+    @property
+    def series(self) -> dict[float, list[float]]:
+        return {v: self.columns[v] for v in self.config.ell_values}
 
     def begin(self, view: StepView):
         self.config.validate_resolution(view.grid)
@@ -259,71 +262,46 @@ class DRLedger:
             for v in self.config.ell_values
         }
         self._s = self.phi.spatial_values(view.pad)
-        self.times.append(view.t)
-        self.state_l2.append(view.state_l2)
-        for v in self.config.ell_values:
-            self.series[v].append(0.0)
+        self.push(view)
 
     def advance(self, view: StepView, nxt: StepView):
         w1 = self.phi.theta_integral(view.t, nxt.t)
-        if w1 == 0.0:  # outside the temporal support every increment is 0.0
-            for series in self.series.values():
-                series.append(series[-1])
-        else:
+        incs = {}
+        if w1 != 0.0:  # outside the temporal support every increment is 0.0
             kernel = DRKernel(view.u_phys(view.pad), view.u_sq(view.pad))
             for v in self.config.ell_values:
                 d_phi = 0.25 * float(np.mean(sum(kernel.terms(self._mults[v])) * self._s))
-                self.series[v].append(self.series[v][-1] + w1 * d_phi)
-        self.times.append(nxt.t)
-        self.state_l2.append(nxt.state_l2)
+                incs[v] = w1 * d_phi
+        self.push(nxt, incs)
 
     def cauchy_differences(self, idx: int = -1):
         """|D^{l2}_t - D^{l1}_t| for consecutive ladder entries at one time."""
         vals = [self.series[v][idx] for v in self.config.ell_values]
         return [abs(b - a) for a, b in zip(vals, vals[1:])]
 
-    def d_series(self, ell: float) -> np.ndarray:
-        return np.asarray(self.series[ell])
-
     def _series_payload(self) -> dict:
-        return {"times": list(self.times),
-                "series": {str(k): list(v) for k, v in self.series.items()}}
+        return {str(k): list(v) for k, v in self.series.items()}
 
     def payload(self) -> dict:
         """The path-record entry: the series, Cauchy differences and norms."""
-        return {**self._series_payload(), "cauchy": self.cauchy_differences(),
-                "state_l2": list(self.state_l2)}
+        return {**super().payload(), "series": self._series_payload(),
+                "cauchy": self.cauchy_differences()}
 
     def store(self, record: dict):
         record["dissipation"] = self.payload()
 
     def export(self, directory, path_id: int) -> Path:
         path = Path(directory) / f"dissipation_{path_id:06d}.json"
-        atomic_write_json(path, self._series_payload())
+        atomic_write_json(path, {"times": list(self.time), "series": self._series_payload()})
         return path
-
-
-def lee_closure_residual(energy_ledger, dr_ledger: DRLedger, idx: int = -1) -> float:
-    """[E_t + 2 D_t^{l_min}] - [compensator + N_t] from jointly driven ledgers."""
-    ell_min = dr_ledger.config.ell_values[-1]
-    return (
-        energy_ledger.energy_functional(idx)
-        + 2.0 * dr_ledger.series[ell_min][idx]
-        - energy_ledger._initial_energy
-        - energy_ledger.compensator[idx]
-        - energy_ledger.martingale[idx]
-    )
-
-
-SubmartingaleReport = SupermartingaleReport  # same fields, reported in D's sign
 
 
 def dissipation_submartingale_test(dr_ledgers: list[DRLedger], ell: float,
                                    s: float, t: float, events,
-                                   threshold: float = 3.0) -> SubmartingaleReport:
+                                   threshold: float = 3.0) -> SupermartingaleReport:
     """One-sided test of E[(D_t - D_s) 1_A] >= 0 (submartingale direction):
     the supermartingale test of -D, with means and statistics in D's sign."""
     stats, passed = one_sided_test(dr_ledgers, lambda led, i: -led.series[ell][i],
                                    s, t, events, threshold, "submartingale")
     stats = tuple(replace(st, mean=-st.mean, statistic=-st.statistic) for st in stats)
-    return SubmartingaleReport(s, t, stats, threshold, passed)
+    return SupermartingaleReport(s, t, stats, threshold, passed)

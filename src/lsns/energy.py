@@ -17,61 +17,62 @@ zero and realized quadratic variation matching
 
     <N(phi)>_t = 4 sum_k int_0^t ( int g_k(u) . u phi dx )^2 ds.
 
-Spatial integrals are exact Riemann means on the 2M-padded grid (every
-integrand is a trigonometric polynomial below the padded bandwidth).
+Spatial integrals are exact Riemann means on the smallest grid that
+resolves each integrand (every integrand is a trigonometric polynomial).
 
 Because the discrete dynamics injects the Leray-projected, Galerkin-truncated
 noise, the ledger also records the projected compensator and the unmollified
 one (the limit-system expression), plus their gaps, rather than guessing
 which one a limit test should use.
+
+``EnergyLedger.SERIES`` is the ledger's one series table (see
+``stepview.Ledger``): each time integral is a ``SUM`` advanced by the step's
+increments, and the functional, the martingale, its realized quadratic
+variation and the two compensator gaps are derived per row. The ledger is
+fed by ``stepview.drive``, inline or from a stored trajectory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .persist import write_csv
-from .stepview import StepView, trajectory_step
+from .stepview import STATE, SUM, Ledger, StepView, realized_qv
 from .testfunc import TestFunction
 
 _MEAN = lambda a: float(np.mean(a))
 
 
-class EnergyLedger:
+class EnergyLedger(Ledger):
     """Per-path accumulator of every term in the local energy balance."""
 
-    CSV_COLUMNS = [
-        "step", "time", "local_energy", "enstrophy", "transport", "flux",
-        "compensator", "compensator_projected", "compensator_unmollified",
-        "energy_functional", "martingale", "qv_predicted", "qv_realized",
-        "projection_gap", "mollification_gap", "state_l2",
-    ]
-    # series stored in the path record under their own names
-    PAYLOAD_SERIES = (
-        "times", "martingale", "compensator", "compensator_projected",
-        "compensator_unmollified", "qv_predicted", "qv_realized", "state_l2",
+    SERIES = {
+        "step": STATE, "time": STATE, "local_energy": STATE,
+        "enstrophy": SUM, "transport": SUM, "flux": SUM, "compensator": SUM,
+        "compensator_projected": SUM, "compensator_unmollified": SUM,
+        # E_t(u; phi): local energy + enstrophy - transport - flux
+        "energy_functional": lambda led, r: (r["local_energy"] + r["enstrophy"]
+                                             - r["transport"] - r["flux"]),
+        # N_t(phi): the energy balance closed as a residual
+        "martingale": lambda led, r: (r["energy_functional"] - led._initial_energy
+                                      - r["compensator"]),
+        "qv_predicted": SUM, "qv_realized": realized_qv,
+        "projection_gap": lambda led, r: r["compensator"] - r["compensator_projected"],
+        "mollification_gap": lambda led, r: (r["compensator_unmollified"]
+                                             - r["compensator"]),
+        "state_l2": STATE,
+    }
+    CSV_COLUMNS = list(SERIES)
+    RECORDED = (
+        "martingale", "compensator", "compensator_projected", "compensator_unmollified",
+        "qv_predicted", "qv_realized", "energy_functional",
     )
 
     def __init__(self, phi: TestFunction):
+        super().__init__(self.SERIES)
         self.phi = phi
-        self.steps: list[int] = []
-        self.times: list[float] = []
-        self.local_energy: list[float] = []
-        self.enstrophy: list[float] = []
-        self.transport: list[float] = []
-        self.flux: list[float] = []
-        self.compensator: list[float] = []
-        self.compensator_projected: list[float] = []
-        self.compensator_unmollified: list[float] = []
-        self.functional: list[float] = []  # E_t(u; phi) per step
-        self.qv_predicted: list[float] = []
-        self.qv_realized: list[float] = []
-        self.martingale: list[float] = []
-        self.state_l2: list[float] = []
         self._initial_energy = 0.0
         self._s = None  # spatial arrays cached on first view
         self._fixed_means: dict = {}  # additive-noise means, see _noise_sq_means
@@ -79,6 +80,10 @@ class EnergyLedger:
     @property
     def key(self) -> str:
         return f"energy:{self.phi.label}"
+
+    @property
+    def stem(self) -> str:
+        return f"energy_{self.phi.label}"
 
     # -- consumer protocol ----------------------------------------------------
 
@@ -97,7 +102,7 @@ class EnergyLedger:
         self._s_pad = self.phi.spatial_values(view.pad)
         self._grad_s_f = self.phi.spatial_grad(self._pf)
         self._initial_energy = self._local_energy(view)
-        self._append_state(view, le=self._initial_energy)
+        self.push(view, local_energy=self._initial_energy)
 
     def advance(self, view: StepView, nxt: StepView):
         # deterministic temporal weights are integrated exactly over the
@@ -105,55 +110,41 @@ class EnergyLedger:
         w1 = self.phi.theta_integral(view.t, nxt.t)
         w2 = self.phi.theta_integral(view.t, nxt.t, power=2)
         dth = self.phi.theta_increment(view.t, nxt.t)
-        if w1 == 0.0 and w2 == 0.0 and dth == 0.0:
-            # outside the temporal support every increment is exactly 0.0
-            self._append_state(
-                nxt, le=self._local_energy(nxt), enst=self.enstrophy[-1],
-                trans=self.transport[-1], flux=self.flux[-1],
-                comp=self.compensator[-1], comp_proj=self.compensator_projected[-1],
-                comp_raw=self.compensator_unmollified[-1], qv_pred=self.qv_predicted[-1],
-            )
-            return
+        # outside the temporal support every increment is exactly 0.0
+        outside = w1 == 0.0 and w2 == 0.0 and dth == 0.0
+        incs = {} if outside else self._increments(view, w1, w2, dth)
+        self.push(nxt, incs, local_energy=self._local_energy(nxt))
+
+    def _increments(self, view: StepView, w1: float, w2: float, dth: float) -> dict:
         nu = view.ws.params.nu
         pq, pf, pad = self._pq, self._pf, view.pad
 
         gu = view.grad_u_phys(pq)
         gradsq = np.einsum("ijxyz,ijxyz->xyz", gu, gu)
-        enst = self.enstrophy[-1] + 2.0 * nu * w1 * _MEAN(gradsq * self._s)
-
-        trans = self.transport[-1] + (
-            dth * _MEAN(view.u_sq(pq) * self._s)
-            + nu * w1 * _MEAN(view.u_sq(pq) * self._lap_s)
-        )
-
         vdot = np.einsum("ixyz,ixyz->xyz", view.v_phys(pf), self._grad_s_f)
         udot = np.einsum("ixyz,ixyz->xyz", view.u_phys(pf), self._grad_s_f)
-        flux = self.flux[-1] + w1 * (
-            _MEAN(view.u_sq(pf) * vdot) + 2.0 * _MEAN(view.p_phys(pf) * udot)
-        )
-
-        comp = self.compensator[-1]
-        comp_proj = self.compensator_projected[-1]
-        comp_raw = self.compensator_unmollified[-1]
-        qv_pred = self.qv_predicted[-1]
+        incs = {
+            "enstrophy": 2.0 * nu * w1 * _MEAN(gradsq * self._s),
+            "transport": (dth * _MEAN(view.u_sq(pq) * self._s)
+                          + nu * w1 * _MEAN(view.u_sq(pq) * self._lap_s)),
+            "flux": w1 * (_MEAN(view.u_sq(pf) * vdot)
+                          + 2.0 * _MEAN(view.p_phys(pf) * udot)),
+        }
         if view.ws.noise is not None:
             up = view.u_phys(pq)
             injected = view.noise_phys("injected", pq)
-            for g, gg in zip(injected, self._noise_sq_means(view, "injected", pq, self._s)):
-                comp += w1 * gg
-                pairing = _MEAN(np.sum(g * up, axis=0) * self._s)
-                qv_pred += 4.0 * w2 * pairing**2
-            for gg in self._noise_sq_means(view, "projected", pq, self._s):
-                comp_proj += w1 * gg
-            for gg in self._noise_sq_means(view, "raw", pad, self._s_pad):
-                comp_raw += w1 * gg
-
-        self._append_state(
-            nxt,
-            le=self._local_energy(nxt),
-            enst=enst, trans=trans, flux=flux,
-            comp=comp, comp_proj=comp_proj, comp_raw=comp_raw, qv_pred=qv_pred,
-        )
+            means = self._noise_sq_means(view, "injected", pq, self._s)
+            incs["compensator"] = [w1 * gg for gg in means]
+            incs["qv_predicted"] = [
+                4.0 * w2 * _MEAN(np.sum(g * up, axis=0) * self._s) ** 2 for g in injected
+            ]
+            incs["compensator_projected"] = [
+                w1 * gg for gg in self._noise_sq_means(view, "projected", pq, self._s)
+            ]
+            incs["compensator_unmollified"] = [
+                w1 * gg for gg in self._noise_sq_means(view, "raw", pad, self._s_pad)
+            ]
+        return incs
 
     def _noise_sq_means(self, view: StepView, tag: str, p: int, s) -> list[float]:
         """Per-field means of |g_k|^2 s on the P grid; additive noise fields
@@ -171,88 +162,22 @@ class EnergyLedger:
         theta = self.phi.theta(view.t)
         return theta * _MEAN(view.u_sq(self._pq) * self._s) if theta != 0.0 else 0.0
 
-    def _append_state(self, view: StepView, le: float, enst: float = 0.0,
-                      trans: float = 0.0, flux: float = 0.0, comp: float = 0.0,
-                      comp_proj: float = 0.0, comp_raw: float = 0.0,
-                      qv_pred: float = 0.0):
-        self.steps.append(view.index)
-        self.times.append(view.t)
-        self.local_energy.append(le)
-        self.enstrophy.append(enst)
-        self.transport.append(trans)
-        self.flux.append(flux)
-        self.functional.append(le + enst - trans - flux)
-        self.compensator.append(comp)
-        self.compensator_projected.append(comp_proj)
-        self.compensator_unmollified.append(comp_raw)
-        self.qv_predicted.append(qv_pred)
-        self.state_l2.append(view.state_l2)
-        close_martingale(self)
-
-    def energy_functional(self, idx: int) -> float:
-        """E_t(u; phi): local energy + enstrophy - transport - flux."""
-        return self.functional[idx]
-
-    def residual(self, idx: int) -> float:
-        """N_t(phi): the energy balance closed as a residual."""
-        return (
-            self.energy_functional(idx)
-            - self._initial_energy
-            - self.compensator[idx]
-        )
-
-    def supermartingale_process(self, idx: int) -> float:
-        """X_t = E_t(u; phi) - regularized compensator (the tested process)."""
-        return self.energy_functional(idx) - self.compensator[idx]
-
-    # -- export ----------------------------------------------------------------
-
-    def rows(self):
-        for i in range(len(self.steps)):
-            yield [
-                self.steps[i], self.times[i], self.local_energy[i],
-                self.enstrophy[i], self.transport[i], self.flux[i],
-                self.compensator[i], self.compensator_projected[i],
-                self.compensator_unmollified[i], self.functional[i],
-                self.martingale[i], self.qv_predicted[i], self.qv_realized[i],
-                self.compensator[i] - self.compensator_projected[i],
-                self.compensator_unmollified[i] - self.compensator[i],
-                self.state_l2[i],
-            ]
+    # -- record ----------------------------------------------------------------
 
     def payload(self) -> dict:
         """The path-record entry: the series the ensemble statistics need."""
-        out = {k: list(getattr(self, k)) for k in self.PAYLOAD_SERIES}
-        out["energy_functional"] = list(self.functional)
-        out["initial_energy"] = self._initial_energy
-        return out
+        return {**super().payload(), "initial_energy": self._initial_energy}
 
     @classmethod
     def from_payload(cls, phi: TestFunction, payload: dict) -> "EnergyLedger":
         """A ledger restored from ``payload()`` (its statistics series only)."""
         led = cls(phi)
-        for k in cls.PAYLOAD_SERIES:
-            setattr(led, k, payload[k])
-        led.functional = payload["energy_functional"]
+        led.restore(payload)
         led._initial_energy = payload["initial_energy"]
         return led
 
     def store(self, record: dict):
         record.setdefault("energy", {})[self.phi.label] = self.payload()
-
-    def export(self, directory, path_id: int) -> Path:
-        path = Path(directory) / f"energy_{self.phi.label}_{path_id:06d}.csv"
-        write_csv(path, self.CSV_COLUMNS, self.rows())
-        return path
-
-
-def close_martingale(led):
-    """Append the newest row's residual as the martingale, with its realized
-    quadratic variation (0 on the first row)."""
-    n = led.residual(-1)
-    led.qv_realized.append(led.qv_realized[-1] + (n - led.martingale[-1]) ** 2
-                           if led.martingale else 0.0)
-    led.martingale.append(n)
 
 
 def index_at(times, t: float) -> int:
@@ -262,23 +187,6 @@ def index_at(times, t: float) -> int:
     if abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)):
         raise ConfigurationError(f"time {t} not on the stored step grid")
     return idx
-
-
-def ledger_step(traj, j: int, phi: TestFunction, ledger: EnergyLedger | None = None):
-    """Advance a ledger by one step of a stride-1 trajectory (spec-style API)."""
-    return trajectory_step(traj, j, ledger or EnergyLedger(phi), "energy ledger")
-
-
-def ledger_residual(ledger: EnergyLedger, j: int | None = None) -> float:
-    """N_{t_j}(phi); the last recorded step when j is None."""
-    if j is None:
-        return ledger.residual(-1)
-    return ledger.residual(ledger.steps.index(j))
-
-
-def qv_estimate(ledger: EnergyLedger):
-    """(predicted, realized) quadratic-variation series of the residual."""
-    return np.asarray(ledger.qv_predicted), np.asarray(ledger.qv_realized)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +213,7 @@ class Event:
         n = len(ledgers)
         if self.kind == "all":
             return np.ones(n)
-        idx = index_at(ledgers[0].times, self.at)
+        idx = index_at(ledgers[0].time, self.at)
         vals = np.array([led.state_l2[idx] for led in ledgers])
         thresh = np.quantile(vals, self.q)
         if self.kind == "low_energy":
@@ -333,12 +241,16 @@ class SupermartingaleReport:
     passed: bool
 
 
+def mean_stderr(vals) -> tuple[float, float]:
+    """Sample mean and its standard error (0.0 below two samples)."""
+    vals = np.asarray(vals, dtype=float)
+    n = len(vals)
+    mean = float(np.mean(vals)) if n else 0.0
+    return mean, float(np.std(vals, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+
+
 def _one_sided_stat(vals: np.ndarray) -> tuple[float, float, float]:
-    mean = float(np.mean(vals))
-    if len(vals) > 1:
-        stderr = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
-    else:
-        stderr = 0.0
+    mean, stderr = mean_stderr(vals)
     if stderr == 0.0:
         stat = 0.0 if mean <= 1e-12 else np.inf
     else:
@@ -354,8 +266,8 @@ def one_sided_test(ledgers: list, process, s: float, t: float, events: list[Even
         raise ConfigurationError(f"{what} test needs an ensemble")
     if t < s:
         raise ConfigurationError("need s <= t")
-    i_s = index_at(ledgers[0].times, s)
-    i_t = index_at(ledgers[0].times, t)
+    i_s = index_at(ledgers[0].time, s)
+    i_t = index_at(ledgers[0].time, t)
     dx = np.array([process(led, i_t) - process(led, i_s) for led in ledgers])
     stats = []
     for ev in events:
@@ -367,9 +279,11 @@ def one_sided_test(ledgers: list, process, s: float, t: float, events: list[Even
 
 def supermartingale_test(ledgers: list[EnergyLedger], s: float, t: float,
                          events: list[Event], threshold: float = 3.0) -> SupermartingaleReport:
-    """One-sided test of E[(X_t - X_s) 1_A] <= 0 for the energy process X."""
-    stats, passed = one_sided_test(ledgers, lambda led, i: led.supermartingale_process(i),
-                                   s, t, events, threshold, "supermartingale")
+    """One-sided test of E[(X_t - X_s) 1_A] <= 0 for the energy process
+    X_t = E_t(u; phi) - regularized compensator."""
+    stats, passed = one_sided_test(
+        ledgers, lambda led, i: led.energy_functional[i] - led.compensator[i],
+        s, t, events, threshold, "supermartingale")
     return SupermartingaleReport(s, t, stats, threshold, passed)
 
 
@@ -387,11 +301,11 @@ def lei_scalar_check(ledgers: list[EnergyLedger], xi, t: float | None = None,
 
     ``xi`` maps a ledger (the path history) to a bounded nonnegative scalar.
     """
-    idx = -1 if t is None else index_at(ledgers[0].times, t)
+    idx = -1 if t is None else index_at(ledgers[0].time, t)
     xis = np.array([float(xi(led)) for led in ledgers])
     if np.any(xis < 0):
         raise ConfigurationError("xi must be nonnegative on every path")
-    lhs = xis * np.array([led.energy_functional(idx) for led in ledgers])
+    lhs = xis * np.array([led.energy_functional[idx] for led in ledgers])
     rhs = xis * np.array([
         led._initial_energy + led.compensator[idx] + led.martingale[idx]
         for led in ledgers
@@ -439,7 +353,7 @@ def martingale_map_continuity(paired_ledgers: list[tuple[EnergyLedger, EnergyLed
     """
     if not (1.0 <= alpha < 4.0):
         raise ConfigurationError(f"alpha must lie in [1, 4), got {alpha}")
-    times = np.asarray(paired_ledgers[0][0].times)
+    times = np.asarray(paired_ledgers[0][0].time)
     dist = phi_l5_distance(phi1, phi2, times, dt, pad)
     ratios = []
     for lam in lambdas:

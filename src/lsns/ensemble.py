@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, initial_field
-from .energy import EnergyLedger, lei_scalar_check, supermartingale_test
+from .energy import EnergyLedger, lei_scalar_check, mean_stderr, supermartingale_test
 from .errors import BlowUpError, ConfigurationError
 from .integrate import Trajectory, em_path
 from .persist import atomic_write_json, save_trajectory, write_csv
@@ -92,16 +92,21 @@ def _worker(args):
 # reduction
 
 
+# Below this many paths a verdict judged against a normal bar means little:
+# mean/stderr over n paths follows a t law with n - 1 degrees of freedom, whose
+# bar at the two-sided level of 4 sigma is 125.6 at n = 3, 8.5 at n = 8 and
+# 4.6 at n = 32. Such verdicts are degenerate; their statistics are still written.
+MIN_PATHS = 32
+
+
 def _zero_mean(vals, bar: float = 4.0):
     """Two-sided z-test of mean zero: (statistics, ok, reason).
 
     A sample with n < 2 or zero standard error gives no evidence either way:
     ok is then None (degenerate), never a pass.
     """
-    vals = np.asarray(vals, dtype=float)
     n = len(vals)
-    mean = float(np.mean(vals)) if n else 0.0
-    se = float(vals.std(ddof=1) / np.sqrt(n)) if n >= 2 else 0.0
+    mean, se = mean_stderr(vals)
     stats = {"mean": mean, "stderr": se, "z": mean / se if se > 0 else 0.0, "n": n}
     if n < 2:
         return stats, None, f"n = {n} < 2 paths"
@@ -122,14 +127,17 @@ def summarize(cfg: ExperimentConfig, records: list[dict], wall_clock: float) -> 
     diag = cfg.diagnostics()
     tests, verdicts = {}, []
 
-    def judge(test: str, ok: bool | None, reason: str) -> bool:
+    def judge(test: str, ok: bool | None, reason: str, n: int | None = None) -> bool:
+        """Record a verdict; a statistical one over n < MIN_PATHS paths is degenerate."""
+        if ok is not None and n is not None and n < MIN_PATHS:
+            ok, reason = None, f"n = {n} < {MIN_PATHS} paths, too few for a normal-bar verdict"
         status = "degenerate" if ok is None else ("pass" if ok else "fail")
         verdicts.append({"test": test, "status": status, "reason": reason})
         return status == "pass"
 
     def zero_mean(test: str, vals):
         stats, ok, reason = _zero_mean(vals)
-        return stats, judge(test, ok, reason)
+        return stats, judge(test, ok, reason, stats["n"])
 
     for name, phi in cfg.test_functions().items():
         ledgers = [EnergyLedger.from_payload(phi, r["energy"][name])
@@ -146,6 +154,7 @@ def summarize(cfg: ExperimentConfig, records: list[dict], wall_clock: float) -> 
         st = diag.get("supermartingale")
         if st is not None and len(ledgers) >= 2:
             rep = supermartingale_test(ledgers, st["s"], st["t"], cfg.events())
+            worst = max(s.statistic for s in rep.statistics)
             block["supermartingale"] = {
                 "criterion": "supermartingale_3sigma_one_sided",
                 "statistics": [
@@ -153,19 +162,20 @@ def summarize(cfg: ExperimentConfig, records: list[dict], wall_clock: float) -> 
                      "statistic": s.statistic, "n_active": s.n_active}
                     for s in rep.statistics
                 ],
-                "passed": rep.passed,
+                "passed": judge(f"{key}/supermartingale", rep.passed,
+                                f"max one-sided statistic {worst:.3g} vs {rep.threshold:g}",
+                                len(ledgers)),
             }
-            worst = max(s.statistic for s in rep.statistics)
-            judge(f"{key}/supermartingale", rep.passed,
-                  f"max one-sided statistic {worst:.3g} vs {rep.threshold:g}")
         if diag.get("lei_xi") is not None and len(ledgers) >= 2:
             outcomes = {}
             for xi_name, xi in cfg.xi_functionals().items():
                 rep = lei_scalar_check(ledgers, xi)
-                outcomes[xi_name] = {"lhs": rep.lhs, "rhs": rep.rhs,
-                                     "stderr": rep.stderr, "passed": rep.passed}
-                judge(f"{key}/lei/{xi_name}", rep.passed,
-                      f"lhs - rhs = {rep.lhs - rep.rhs:.3g}, stderr {rep.stderr:.3g}")
+                outcomes[xi_name] = {
+                    "lhs": rep.lhs, "rhs": rep.rhs, "stderr": rep.stderr,
+                    "passed": judge(f"{key}/lei/{xi_name}", rep.passed,
+                                    f"lhs - rhs = {rep.lhs - rep.rhs:.3g}, "
+                                    f"stderr {rep.stderr:.3g}", len(ledgers)),
+                }
             block["lei"] = {"criterion": "lei_scalar_3sigma", "outcomes": outcomes}
         tests[key] = block
 

@@ -1,4 +1,4 @@
-"""Streaming access to per-step fields for the diagnostic ledgers.
+"""Streaming access to per-step fields, and the one way to drive the ledgers.
 
 A ``StepView`` wraps one state of a path and lazily caches the physical-space
 syntheses the ledgers need (velocity, gradients, pressure, noise fields), so
@@ -11,16 +11,26 @@ Every synthesis goes through ``spectral.synthesize``.
 Views come from the one Euler-Maruyama loop (``integrate.em_path``) via
 ``views_of`` while integrating (``iter_views``), or from a stored stride-1
 trajectory (``views_from_trajectory``); both construct the same values, so
-replayed diagnostics reproduce inline ones bit-exactly. ``drive`` feeds a
-view stream to the ledgers.
+replayed diagnostics reproduce inline ones bit-exactly. ``drive`` is the one
+driver: it feeds a view stream to ledgers, ``begin(v0)`` then
+``advance(v_j, v_j+1)`` per step.
+
+Every ledger is a ``Ledger``: a table of per-row series declared once, in CSV
+order (``SERIES``), from which its rows, path-record payload, restore from a
+record and martingale closure all follow (see ``Ledger``).
 
 Spatial integrals of products of band-limited factors are exact Riemann
-means on the grids chosen, and the pointwise (non-polynomial) vorticity
-transforms on the padded grid see only the exponentially small spectral
-tail.
+means on the grids chosen. The pointwise (non-polynomial) vorticity
+transforms are not band-limited, and the 2M grid does not resolve them to
+roundoff: against 4M, the vorticity ledger's Hessian, surrogate and L1
+terms are off by up to 2e-4 relative, and its martingale by 1e-4, on
+Taylor-Green over a quarter time unit at M=16 (see
+``test_vorticity_ledger_pad_convergence``).
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +38,7 @@ from .errors import ConfigurationError
 from .integrate import RunParams, Trajectory, Workspace, drift_and_pressure, em_path
 from .mollifier import mollify
 from .noise import NoiseModel
+from .persist import write_csv
 from .spectral import (
     ScalarField,
     SpectralField,
@@ -162,19 +173,6 @@ def views_from_trajectory(traj: Trajectory):
         yield StepView(traj.workspace, u, j, pressure=p)
 
 
-def trajectory_step(traj: Trajectory, j: int, ledger, what: str):
-    """Advance ``ledger`` by step j of a stride-1 trajectory, beginning it at
-    step 0 if it is fresh (the spec-style per-step API of the ledgers)."""
-    traj.require_stride_one(what)
-    view = lambda i: StepView(traj.workspace, traj.states[i], i, traj.pressures[i])
-    if not ledger.steps:
-        ledger.begin(view(0))
-    if ledger.steps[-1] != j:
-        raise ConfigurationError(f"ledger is at step {ledger.steps[-1]}, expected {j}")
-    ledger.advance(view(j), view(j + 1))
-    return ledger
-
-
 def drive(views, consumers: list):
     """Feed consecutive views to every consumer: begin(v0), advance(v_j, v_j+1)."""
     it = iter(views)
@@ -189,3 +187,84 @@ def drive(views, consumers: list):
             c.advance(prev, view)
         prev = view
     return consumers
+
+
+# ---------------------------------------------------------------------------
+# the ledger series table
+
+SUM = "sum"      # a time integral advanced by the step's increments
+STATE = "state"  # a quantity of the row's state
+VIEW_SERIES = {"step": lambda v: v.index, "time": lambda v: v.t,
+               "state_l2": lambda v: v.state_l2}
+
+
+class Ledger:
+    """A per-path table of series, one row per view, fed by ``drive``.
+
+    A ledger declares its series once, ``name: kind`` in CSV order:
+    ``STATE`` (a quantity of the row's state, passed to ``push`` by name, or
+    None, an empty cell, where the row has none), ``SUM`` (a time integral
+    advanced by the increments passed to ``push``, and repeated where a step
+    passes none, as outside a test function's temporal support) or a
+    function ``f(ledger, row)`` of the row's earlier columns. Every ledger
+    also records ``step``, ``time`` and ``state_l2`` from the view; its table
+    lists them where its CSV has them. Each series reads as ``ledger.<name>``.
+    A ledger with a per-path CSV sets ``CSV_COLUMNS`` and its file ``stem``.
+    """
+
+    RECORDED: tuple = ()  # series the path record keeps besides time and state_l2
+
+    def __init__(self, table: dict):
+        self.table = {**dict.fromkeys(VIEW_SERIES, STATE), **table}
+        self.columns = {name: [] for name in self.table}
+
+    def __getattr__(self, name):
+        try:
+            return self.__dict__["columns"][name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+    def push(self, view: StepView, incs: dict | None = None, **state):
+        """Append the row of ``view``: its state quantities, every sum plus
+        its increments (a float or a list added in order), then the derived
+        columns."""
+        incs = incs or {}
+        row = {name: get(view) for name, get in VIEW_SERIES.items()}
+        for name, kind in self.table.items():
+            col = self.columns[name]
+            if kind is SUM:
+                val = col[-1] if col else 0.0
+                terms = incs.get(name, [])
+                for term in terms if isinstance(terms, list) else (terms,):
+                    val += term
+            elif kind is STATE:
+                val = row[name] if name in row else state.get(name)
+            else:
+                val = kind(self, row)
+            row[name] = val
+            col.append(val)
+
+    def rows(self):
+        return zip(*(self.columns[name] for name in self.CSV_COLUMNS))
+
+    def export(self, directory, path_id: int) -> Path:
+        path = Path(directory) / f"{self.stem}_{path_id:06d}.csv"
+        write_csv(path, self.CSV_COLUMNS, self.rows())
+        return path
+
+    def payload(self) -> dict:
+        """The path-record entry: the recorded series."""
+        return {"times": list(self.time), "state_l2": list(self.state_l2),
+                **{name: list(self.columns[name]) for name in self.RECORDED}}
+
+    def restore(self, payload: dict):
+        """Refill the recorded series from ``payload()``."""
+        self.columns["time"] = payload["times"]
+        for name in ("state_l2", *self.RECORDED):
+            self.columns[name] = payload[name]
+
+
+def realized_qv(led: Ledger, row: dict) -> float:
+    """Realized quadratic variation of the martingale column (0 at row 0)."""
+    m = led.martingale  # this row's value is already appended
+    return led.qv_realized[-1] + (m[-1] - m[-2]) ** 2 if len(m) > 1 else 0.0

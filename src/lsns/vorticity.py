@@ -14,7 +14,12 @@ The ledger advances every deterministic term (pointwise transforms evaluated
 on the padded physical grid, integrals by grid quadrature) and closes the
 martingale as the residual. Its quadratic variation is additionally
 predicted by sum_k (int rho_k . grad q)^2 dt, recorded as a derived (not
-paper-stated) comparison.
+paper-stated) comparison. ``VorticityLedger.SERIES`` is its one series table
+(see ``stepview.Ledger``): the state norms are given per row, each time
+integral is a ``SUM`` advanced by dt times its rate, and the martingale, its
+realized quadratic variation and the L1 / sqrt-moment norm chain are derived
+per row. The pointwise transforms are not band-limited, so the 2M grid
+leaves a small deterministic bias in the martingale (see ``stepview``).
 
 Note the stretching term enters the identity with a minus sign, as derived
 from curl(v . grad u) = v . grad omega + eps_ijk d_j v_l d_l u_k; the noise-
@@ -25,18 +30,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .energy import close_martingale
+from .energy import mean_stderr
 from .errors import ConfigurationError
 from .persist import write_csv
-from .stepview import StepView, trajectory_step
+from .stepview import STATE, SUM, Ledger, StepView, realized_qv
 
 __all__ = [
     "HFunction", "h_eval", "q_gradient_hessian", "BoundViolation",
-    "hessian_bounds_check", "VorticityLedger", "vorticity_ledger_step",
+    "hessian_bounds_check", "VorticityLedger",
     "vorticity_bounds_report", "ladder_trend_table",
 ]
 
@@ -148,72 +152,46 @@ def hessian_bounds_check(hf: HFunction, samples: int, seed: int = 2024,
 # ledger
 
 
-class VorticityLedger:
+class VorticityLedger(Ledger):
     """Accumulates the transformed-vorticity identity terms along one path."""
 
-    CSV_COLUMNS = [
-        "step", "time", "l1_norm", "sqrt_moment", "w_integral",
-        "hessian_enstrophy", "surrogate", "stretching", "noise_compensator",
-        "grad_norm", "martingale", "qv_predicted", "qv_realized",
-        "holder_margin", "norm_chain_ok",
-    ]
+    SERIES = {
+        "step": STATE, "time": STATE,
+        "l1_norm": STATE, "sqrt_moment": STATE, "w_integral": STATE,
+        "hessian_enstrophy": SUM,  # int_0^t int dd q'' (no nu factor)
+        "surrogate": SUM, "stretching": SUM, "noise_compensator": SUM,
+        "grad_norm": SUM,          # int_0^t int |grad om|^{4/(3+d)}
+        # the martingale closed from the integrated identity
+        "martingale": lambda led, r: (
+            r["w_integral"] - led.w_integral[0] + led.nu * r["hessian_enstrophy"]
+            + r["stretching"] - r["noise_compensator"]),
+        "qv_predicted": SUM, "qv_realized": realized_qv,
+        "holder_margin": STATE,    # per step: undefined (empty) at row 0
+        "norm_chain_ok": lambda led, r: (r["l1_norm"] <= r["sqrt_moment"] + 1e-12
+                                         and r["sqrt_moment"] <= 1.0 + r["l1_norm"] + 1e-12),
+    }
+    CSV_COLUMNS = list(SERIES)
+    RECORDED = ("martingale", "qv_predicted", "qv_realized")
     key = "vorticity:default"
+    stem = "vorticity"
 
     def __init__(self, hf: HFunction):
+        super().__init__(self.SERIES)
         self.hf = hf
         self.epsilon = None
         self.nu = None
-        self.steps: list[int] = []
-        self.times: list[float] = []
-        self.l1: list[float] = []
-        self.sqrt_moment: list[float] = []
-        self.w_int: list[float] = []
-        self.hess_enstrophy: list[float] = []   # int_0^t int dd q'' (no nu factor)
-        self.surrogate: list[float] = []
-        self.stretching: list[float] = []
-        self.noise_comp: list[float] = []
-        self.grad_norm: list[float] = []        # int_0^t int |grad om|^{4/(3+d)}
-        self.qv_predicted: list[float] = []
-        self.qv_realized: list[float] = []
-        self.martingale: list[float] = []
-        self.holder_margin: list[float] = []    # per step (undefined at row 0)
-        self.norm_chain_ok: list[bool] = []
-        self.state_l2: list[float] = []
 
-    # -- state-quantity helpers ------------------------------------------------
-
-    def _state_quantities(self, view: StepView):
+    def _state_quantities(self, view: StepView) -> dict:
         om = view.omega_phys(view.pad)
         alpha = 1.0 + np.sum(om * om, axis=0)
-        l1 = float(np.mean(np.sqrt(alpha - 1.0)))
-        sm = float(np.mean(np.sqrt(alpha)))
-        w = float(np.mean(self.hf.h(alpha)))
-        return l1, sm, w
+        return {"l1_norm": float(np.mean(np.sqrt(alpha - 1.0))),
+                "sqrt_moment": float(np.mean(np.sqrt(alpha))),
+                "w_integral": float(np.mean(self.hf.h(alpha)))}
 
     def begin(self, view: StepView):
         self.epsilon = view.ws.params.epsilon
         self.nu = view.ws.params.nu
-        l1, sm, w = self._state_quantities(view)
-        self._append(view, l1, sm, w)
-
-    def _append(self, view, l1, sm, w, hess=0.0, sur=0.0, stretch=0.0,
-                comp=0.0, gn=0.0, qv=0.0, margin=None):
-        self.steps.append(view.index)
-        self.times.append(view.t)
-        self.l1.append(l1)
-        self.sqrt_moment.append(sm)
-        self.w_int.append(w)
-        self.hess_enstrophy.append(hess)
-        self.surrogate.append(sur)
-        self.stretching.append(stretch)
-        self.noise_comp.append(comp)
-        self.grad_norm.append(gn)
-        self.qv_predicted.append(qv)
-        close_martingale(self)
-        if margin is not None:
-            self.holder_margin.append(margin)
-        self.norm_chain_ok.append(l1 <= sm + 1e-12 and sm <= 1.0 + l1 + 1e-12)
-        self.state_l2.append(view.state_l2)
+        self.push(view, **self._state_quantities(view))
 
     def advance(self, view: StepView, nxt: StepView):
         dt = view.ws.params.dt
@@ -253,71 +231,32 @@ class VorticityLedger:
         gn_rate = float(np.mean(s1**expo))
         # per-step Hoelder chain: lhs <= surrogate-integrand^{2/(3+d)} * moment^{(1+d)/(3+d)}
         rhs = sur_mean ** expo * float(np.mean(alpha)) ** ((1.0 + d) / (3.0 + d))
-        margin = rhs - gn_rate
 
-        l1, sm, w = self._state_quantities(nxt)
-        self._append(
-            nxt, l1, sm, w,
-            hess=self.hess_enstrophy[-1] + dt * hess_rate,
-            sur=self.surrogate[-1] + dt * sur_rate,
-            stretch=self.stretching[-1] + dt * stretch_rate,
-            comp=self.noise_comp[-1] + dt * comp_rate,
-            gn=self.grad_norm[-1] + dt * gn_rate,
-            qv=self.qv_predicted[-1] + dt * qv_rate,
-            margin=margin,
+        self.push(
+            nxt,
+            {"hessian_enstrophy": dt * hess_rate, "surrogate": dt * sur_rate,
+             "stretching": dt * stretch_rate, "noise_compensator": dt * comp_rate,
+             "grad_norm": dt * gn_rate, "qv_predicted": dt * qv_rate},
+            holder_margin=rhs - gn_rate,
+            **self._state_quantities(nxt),
         )
-
-    def residual(self, idx: int) -> float:
-        """Martingale term closed from the integrated identity."""
-        return (
-            self.w_int[idx] - self.w_int[0]
-            + self.nu * self.hess_enstrophy[idx]
-            + self.stretching[idx]
-            - self.noise_comp[idx]
-        )
-
-    def rows(self):
-        margins = [None] + self.holder_margin  # no step has run at row 0
-        for i in range(len(self.steps)):
-            yield [
-                self.steps[i], self.times[i], self.l1[i], self.sqrt_moment[i],
-                self.w_int[i], self.hess_enstrophy[i], self.surrogate[i],
-                self.stretching[i], self.noise_comp[i], self.grad_norm[i],
-                self.martingale[i], self.qv_predicted[i], self.qv_realized[i],
-                margins[i], self.norm_chain_ok[i],
-            ]
 
     def min_holder_margin(self) -> float:
-        return min(self.holder_margin, default=math.inf)
+        return min(self.holder_margin[1:], default=math.inf)
 
     def payload(self) -> dict:
         """The path-record entry: the series and bounds the summary needs."""
         return {
-            "times": list(self.times),
-            "martingale": list(self.martingale),
-            "sup_l1": max(self.l1),
+            **super().payload(),
+            "sup_l1": max(self.l1_norm),
             "grad_norm": self.grad_norm[-1],
             "min_holder_margin": self.min_holder_margin(),
             "norm_chain_ok": all(self.norm_chain_ok),
             "epsilon": self.epsilon,
-            "qv_predicted": list(self.qv_predicted),
-            "qv_realized": list(self.qv_realized),
-            "state_l2": list(self.state_l2),
         }
 
     def store(self, record: dict):
         record["vorticity"] = self.payload()
-
-    def export(self, directory, path_id: int) -> Path:
-        path = Path(directory) / f"vorticity_{path_id:06d}.csv"
-        write_csv(path, self.CSV_COLUMNS, self.rows())
-        return path
-
-
-def vorticity_ledger_step(traj, j: int, hf: HFunction,
-                          ledger: VorticityLedger | None = None) -> VorticityLedger:
-    """Advance a vorticity ledger one step of a stride-1 trajectory."""
-    return trajectory_step(traj, j, ledger or VorticityLedger(hf), "vorticity ledger")
 
 
 @dataclass(frozen=True)
@@ -343,17 +282,16 @@ def vorticity_bounds_report(ledgers: list[VorticityLedger]) -> VorticityBoundsRe
     eps = {led.epsilon for led in ledgers}
     if len(eps) != 1:
         raise ConfigurationError(f"mixed-epsilon ensemble rejected: {sorted(eps)}")
-    sup_l1 = np.array([max(led.l1) for led in ledgers])
-    gn = np.array([led.grad_norm[-1] for led in ledgers])
+    mean_l1, stderr_l1 = mean_stderr([max(led.l1_norm) for led in ledgers])
+    mean_gn, stderr_gn = mean_stderr([led.grad_norm[-1] for led in ledgers])
     minm = float(min(led.min_holder_margin() for led in ledgers))
     chain = all(all(led.norm_chain_ok) for led in ledgers)
-    nps = len(ledgers)
     return VorticityBoundsReport(
-        paths=nps,
-        mean_sup_l1=float(np.mean(sup_l1)),
-        stderr_sup_l1=float(np.std(sup_l1, ddof=1) / np.sqrt(nps)) if nps > 1 else 0.0,
-        mean_grad_norm=float(np.mean(gn)),
-        stderr_grad_norm=float(np.std(gn, ddof=1) / np.sqrt(nps)) if nps > 1 else 0.0,
+        paths=len(ledgers),
+        mean_sup_l1=mean_l1,
+        stderr_sup_l1=stderr_l1,
+        mean_grad_norm=mean_gn,
+        stderr_grad_norm=stderr_gn,
         min_holder_margin=minm,
         holder_ok=minm >= -1e-12,
         norm_chain_ok=chain,
@@ -362,8 +300,6 @@ def vorticity_bounds_report(ledgers: list[VorticityLedger]) -> VorticityBoundsRe
 
 def ladder_trend_csv(entries: list[tuple[float, VorticityBoundsReport]], path):
     """Write the eps-ladder trend table as CSV; returns the verdict."""
-    from .persist import write_csv
-
     rows, ok = ladder_trend_table(entries)
     write_csv(path, ["epsilon", "mean_sup_l1", "mean_grad_norm"], rows)
     return ok

@@ -4,12 +4,9 @@ import pytest
 from lsns.energy import (
     EnergyLedger,
     Event,
-    ledger_residual,
-    ledger_step,
     lei_scalar_check,
     martingale_map_continuity,
     phi_l5_distance,
-    qv_estimate,
     supermartingale_test,
 )
 from lsns.errors import ConfigurationError
@@ -18,6 +15,7 @@ from lsns.noise import make_noise_model
 from lsns.spectral import Grid, SpectralField, forward_transform, synthesize
 from lsns.stepview import drive, iter_views, views_from_trajectory
 from lsns.testfunc import SpatialBump, TemporalWindow, TestFunction
+from lsns.vorticity import HFunction, VorticityLedger
 
 from helpers import random_solenoidal, taylor_green
 
@@ -72,7 +70,7 @@ def test_before_support_everything_zero():
     led = run_ledger(p, taylor_green(G8, 0.5), noise, phi)
     # accumulators vanish identically while t <= a = T/4
     a = phi.support[0]
-    for i, t in enumerate(led.times):
+    for i, t in enumerate(led.time):
         if t <= a + 1e-12:
             assert led.martingale[i] == 0.0
             assert led.compensator[i] == 0.0
@@ -127,32 +125,23 @@ def test_spatial_integrals_match_refined_riemann_oracle():
     assert led.transport[3] - led.transport[2] == pytest.approx(trans_inc, rel=1e-6, abs=1e-18)
 
 
-def test_ledger_step_api_matches_streaming():
+@pytest.mark.parametrize("ledger", ["energy", "vorticity"])
+@pytest.mark.parametrize("noise_kind", ["additive", "cosine"])
+def test_replay_views_reproduce_inline_bitwise(noise_kind, ledger):
+    # a stored stride-1 trajectory driven through drive() gives every series
+    # of the inline ledger bit for bit
     phi = TestFunction(SpatialBump(exponent=2), window())
     p = params(dt=1.0 / 32, t_end=0.125)
-    noise = make_noise_model(G8, "cosine", amplitude=0.2, max_k=6)
+    noise = make_noise_model(G8, noise_kind, amplitude=0.2, max_k=6)
     u0 = taylor_green(G8, 0.5)
-    traj = integrate(p, u0, noise)
-    led = None
-    for j in range(p.n_steps):
-        led = ledger_step(traj, j, phi, led)
-    stream = run_ledger(p, u0, noise, phi)
-    assert np.allclose(led.martingale, stream.martingale, rtol=0, atol=1e-14)
-    assert ledger_residual(led) == led.martingale[-1]
-    assert ledger_residual(led, 0) == 0.0
-
-
-def test_replay_views_reproduce_inline_bitwise():
-    phi = TestFunction(SpatialBump(exponent=2), window())
-    p = params(dt=1.0 / 32, t_end=0.125)
-    noise = make_noise_model(G8, "additive", amplitude=0.2, max_k=6)
-    u0 = taylor_green(G8, 0.5)
-    inline = run_ledger(p, u0, noise, phi)
-    traj = integrate(p, u0, noise)
-    replay = EnergyLedger(phi)
-    drive(views_from_trajectory(traj), [replay])
-    assert np.array_equal(np.asarray(inline.martingale), np.asarray(replay.martingale))
-    assert np.array_equal(np.asarray(inline.qv_realized), np.asarray(replay.qv_realized))
+    make = (lambda: EnergyLedger(phi)) if ledger == "energy" else \
+        (lambda: VorticityLedger(HFunction(0.5)))
+    inline = drive(iter_views(p, u0, noise), [make()])[0]
+    replay = drive(views_from_trajectory(integrate(p, u0, noise)), [make()])[0]
+    assert inline.columns.keys() == replay.columns.keys()
+    for name, series in inline.columns.items():
+        assert series == replay.columns[name], name
+    assert list(inline.rows()) == list(replay.rows())
 
 
 def test_noise_off_residual_first_order_in_dt():
@@ -201,7 +190,7 @@ def test_qv_estimate_zero_noise_and_frozen_slope():
     phi = TestFunction(SpatialBump(exponent=2), window())
     p = params(dt=1.0 / 64)
     led = run_ledger(p, taylor_green(G8, 0.5), None, phi)
-    pred, real = qv_estimate(led)
+    pred, real = led.qv_predicted, led.qv_realized
     assert np.max(pred) == 0.0
     # realized QV of the deterministic residual: O(dt^3) quadrature junk
     assert np.max(real) <= 1e-8
@@ -213,7 +202,7 @@ def test_qv_estimate_zero_noise_and_frozen_slope():
     noise = make_noise_model(G8, "additive", amplitude=0.3, max_k=6)
     led2 = run_ledger(p2, taylor_green(G8, 0.5), noise, zero_phi)
     # support outside [0, T]: everything stays zero
-    assert np.max(np.abs(qv_estimate(led2)[0])) == 0.0
+    assert np.max(np.abs(led2.qv_predicted)) == 0.0
 
 
 def test_qv_frozen_u_monte_carlo():
@@ -228,7 +217,7 @@ def test_qv_frozen_u_monte_carlo():
         p = params(nu=0.0, dt=1.0 / 64, t_end=0.25, scheme="em_explicit",
                    hooks=Hooks(disable_nonlinearity=True), path_id=pid)
         led = run_ledger(p, u0, noise, phi)
-        pred, real = qv_estimate(led)
+        pred, real = led.qv_predicted, led.qv_realized
         diffs.append(real[-1] - pred[-1])
         preds.append(pred[-1])
     diffs = np.array(diffs)

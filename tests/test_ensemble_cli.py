@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 from pathlib import Path
@@ -8,7 +9,7 @@ from click.testing import CliRunner
 
 from lsns.cli import main as cli_main
 from lsns.config import ExperimentConfig, canonical_json, initial_field
-from lsns.ensemble import replay, report, run_experiment, run_one_path
+from lsns.ensemble import MIN_PATHS, replay, report, run_experiment, run_one_path
 from lsns.errors import ConfigurationError
 from lsns.integrate import RunParams, integrate
 from lsns.noise import make_noise_model
@@ -239,6 +240,114 @@ def test_noise_off_verdict_is_degenerate_not_pass(tmp_path):
     verdict = status["energy:bump/terminal_martingale"]
     assert verdict["status"] == "degenerate" and "stderr = 0" in verdict["reason"]
     assert summary["all_passed"] is False
+
+
+def test_few_paths_give_degenerate_verdicts(tmp_path):
+    # 3 paths with nonzero spread: the statistics are written, but every
+    # normal-bar verdict is degenerate below MIN_PATHS
+    summary = run_experiment(ExperimentConfig.parse(base_config(tmp_path)))
+    block = summary["tests"]["energy:bump"]
+    assert block["terminal_martingale"]["stderr"] > 0.0
+    assert block["zero_mean_pass"] is False and block["qv_consistency_pass"] is False
+    assert block["supermartingale"]["passed"] is False
+    assert summary["tests"]["vorticity"]["zero_mean_pass"] is False
+    status = {v["test"]: v for v in summary["verdicts"]}
+    for test in ["energy:bump/terminal_martingale", "energy:bump/qv_gap",
+                 "energy:bump/supermartingale", "energy:bump/lei/one",
+                 "energy:bump/lei/inv_sup_energy", "vorticity/terminal_martingale"]:
+        assert status[test]["status"] == "degenerate", test
+        assert status[test]["reason"].startswith(f"n = 3 < {MIN_PATHS} paths"), test
+    assert summary["all_passed"] is False
+
+
+# terminal values of the pinned run below, computed with the hand-written
+# ledgers that the series table replaced; "replay." values come from replay()'s files
+PINNED = {
+    '0:energy.martingale': 0.0001660504076410439,
+    '0:energy.compensator': 2.709568437925631e-07,
+    '0:energy.compensator_projected': 3.350047359940438e-07,
+    '0:energy.energy_functional': 0.00016632136448483647,
+    '0:energy.qv_predicted': 1.751670525534813e-09,
+    '0:energy.qv_realized': 3.612452426977474e-08,
+    '0:energy.state_l2': 0.14853133501786564,
+    '0:vorticity.martingale': 0.03693803908388871,
+    '0:vorticity.qv_predicted': 0.0006927032397217424,
+    '0:vorticity.qv_realized': 0.0006939758606070048,
+    '0:vorticity.sup_l1': 1.8935886106176638,
+    '0:vorticity.grad_norm': 3.8709086685588874,
+    '0:vorticity.min_holder_margin': 4.963278956193157,
+    '0:dissipation.0.125': 1.5476710717664522e-07,
+    '0:dissipation.0.25': 3.6964943308538514e-07,
+    '0:replay.vorticity.w_integral': 0.4831629296912563,
+    '0:replay.vorticity.hessian_enstrophy': 14.74775070479735,
+    '0:replay.vorticity.stretching': -0.0012692754501031922,
+    '0:replay.vorticity.noise_compensator': 0.00015056372094424388,
+    '0:replay.vorticity.martingale': 0.03693803908388871,
+    '0:replay.dissipation.0.125': 1.5476710717664522e-07,
+    '0:replay.dissipation.0.25': 3.6964943308538514e-07,
+    '1:energy.martingale': 0.0001489579520251502,
+    '1:energy.compensator': 2.770256274964047e-07,
+    '1:energy.compensator_projected': 3.4260753302991675e-07,
+    '1:energy.energy_functional': 0.0001492349776526466,
+    '1:energy.qv_predicted': 1.8281516172564019e-09,
+    '1:energy.qv_realized': 3.835354932105562e-08,
+    '1:energy.state_l2': 0.1422651700381143,
+    '1:vorticity.martingale': 0.005718662519586901,
+    '1:vorticity.qv_predicted': 0.0007021549471241413,
+    '1:vorticity.qv_realized': 0.0005670477141832077,
+    '1:vorticity.sup_l1': 1.8935886106176638,
+    '1:vorticity.grad_norm': 3.888442573135012,
+    '1:vorticity.min_holder_margin': 4.806720208077355,
+    '1:dissipation.0.125': 1.9187061026604815e-07,
+    '1:dissipation.0.25': 4.695123540787434e-07,
+    '1:replay.vorticity.w_integral': 0.4502899510450287,
+    '1:replay.vorticity.hessian_enstrophy': 14.831315422505611,
+    '1:replay.vorticity.stretching': -0.0012865933924945225,
+    '1:replay.vorticity.noise_compensator': 0.00015093805079239046,
+    '1:replay.vorticity.martingale': 0.005718662519586901,
+    '1:replay.dissipation.0.125': 1.9187061026604815e-07,
+    '1:replay.dissipation.0.25': 4.695123540787434e-07,
+}
+
+
+def test_pinned_terminal_values(tmp_path):
+    # 2 paths, M=8, linear-multiplicative noise, all three ledgers inline,
+    # snapshots, then replay: terminal values pinned at rel 1e-9
+    doc = base_config(tmp_path)
+    doc["run"]["dt"] = 1.0 / 32
+    doc["noise"] = {"kind": "linear_multiplicative", "amplitude": 0.3, "ratio": 0.5,
+                    "max_k": 8}
+    doc["diagnostics"]["dissipation"] = {"ell_values": [0.25, 0.125], "quadrature": 16}
+    doc["ensemble"]["paths"] = 2
+    doc["output"]["save_snapshots"] = True
+    run_experiment(ExperimentConfig.parse(doc))
+    out = tmp_path / "out"
+    got = {}
+    for pid in range(2):
+        rec = json.loads((out / "paths" / f"path_{pid:06d}.json").read_text())
+        e, v, d = rec["energy"]["bump"], rec["vorticity"], rec["dissipation"]
+        for k in ("martingale", "compensator", "compensator_projected",
+                  "energy_functional", "qv_predicted", "qv_realized", "state_l2"):
+            got[f"{pid}:energy.{k}"] = e[k][-1]
+        for k in ("martingale", "qv_predicted", "qv_realized"):
+            got[f"{pid}:vorticity.{k}"] = v[k][-1]
+        for k in ("sup_l1", "grad_norm", "min_holder_margin"):
+            got[f"{pid}:vorticity.{k}"] = v[k]
+        for ell, series in d["series"].items():
+            got[f"{pid}:dissipation.{ell}"] = series[-1]
+        written = replay(out / f"trajectory_{pid:06d}" / "manifest.json",
+                         doc["diagnostics"], output_dir=tmp_path / f"replay_{pid}")
+        with open(written["vorticity:default"]) as fh:
+            last = list(csv.DictReader(fh))[-1]
+        for k in ("w_integral", "hessian_enstrophy", "stretching", "noise_compensator",
+                  "martingale"):
+            got[f"{pid}:replay.vorticity.{k}"] = float(last[k])
+        dr = json.loads(Path(written["dissipation:default"]).read_text())
+        for ell, series in dr["series"].items():
+            got[f"{pid}:replay.dissipation.{ell}"] = series[-1]
+    assert got.keys() == PINNED.keys()
+    for key, want in PINNED.items():
+        assert got[key] == pytest.approx(want, rel=1e-9), key
 
 
 def test_resume_recomputes_records_of_another_config(tmp_path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from lsns.errors import ConfigurationError
-from lsns.integrate import RunParams, integrate
+from lsns import stepview
+from lsns.integrate import RunParams
 from lsns.noise import make_noise_model
 from lsns.spectral import Grid, SpectralField, forward_transform
 from lsns.stepview import drive, iter_views
@@ -16,10 +17,9 @@ from lsns.vorticity import (
     ladder_trend_table,
     q_gradient_hessian,
     vorticity_bounds_report,
-    vorticity_ledger_step,
 )
 
-from helpers import taylor_green
+from helpers import random_solenoidal, taylor_green
 
 G16 = Grid(16)
 G8 = Grid(8)
@@ -115,8 +115,8 @@ def test_zero_path_ledger():
     p = params(grid=G8, dt=1.0 / 32)
     zero = SpectralField(G8, np.zeros((3, 8, 8, 8), dtype=complex))
     led = run_vort(p, zero, None, hf)
-    assert np.allclose(led.l1, 0.0)
-    assert np.allclose(led.w_int, hf.h(1.0))
+    assert np.allclose(led.l1_norm, 0.0)
+    assert np.allclose(led.w_integral, hf.h(1.0))
     assert np.max(np.abs(np.asarray(led.martingale))) == 0.0
     assert np.allclose(led.stretching, 0.0)
     assert all(led.norm_chain_ok)
@@ -142,7 +142,7 @@ def test_taylor_green_identity_first_order():
         p = params(dt=1.0 / (64 * div))
         led = run_vort(p, taylor_green(G16, 0.8), None)
         sups.append(np.max(np.abs(np.asarray(led.martingale))))
-        assert min(led.holder_margin) >= 0.0
+        assert led.min_holder_margin() >= 0.0
         assert all(led.norm_chain_ok)
     assert np.log2(sups[0] / sups[1]) >= 0.9
 
@@ -167,16 +167,27 @@ def test_stochastic_residual_zero_mean():
     assert rep.mean_sup_l1 > 0
 
 
-def test_ledger_step_api():
-    hf = HFunction(0.5)
-    p = params(grid=G8, dt=1.0 / 32, t_end=0.125)
-    noise = make_noise_model(G8, "additive", amplitude=0.2, max_k=6)
-    traj = integrate(p, taylor_green(G8, 0.6), noise)
-    led = None
-    for j in range(p.n_steps):
-        led = vorticity_ledger_step(traj, j, hf, led)
-    stream = run_vort(p, taylor_green(G8, 0.6), noise, hf)
-    assert np.allclose(led.martingale, stream.martingale, rtol=0, atol=1e-13)
+@pytest.mark.parametrize("field", ["taylor_green", "random"])
+def test_vorticity_ledger_pad_convergence(monkeypatch, field):
+    # the pointwise transforms of omega are not band-limited, so the 2M pad
+    # is not exact: against 4M, the terminal series agree to 5e-4 relative
+    # and the martingale to 3e-4 absolute (measured at M=16: up to 2.1e-4
+    # relative in the surrogate and 1.1e-4 in the martingale on Taylor-Green,
+    # below 1e-6 on this random field)
+    noise = make_noise_model(G16, "additive", amplitude=0.4, ratio=0.5, max_k=8)
+    p = params(nu=0.05, dt=1.0 / 64, t_end=0.25)
+    u0 = taylor_green(G16, 0.8) if field == "taylor_green" else \
+        random_solenoidal(G16, seed=7, amp=0.8)
+    terminal = {}
+    for factor in (2, 4):
+        monkeypatch.setattr(stepview, "PAD_FACTOR", factor)
+        led = run_vort(p, u0, noise)
+        terminal[factor] = {k: v[-1] for k, v in led.columns.items()}
+    fine = terminal[4]
+    for name in ["l1_norm", "sqrt_moment", "w_integral", "hessian_enstrophy", "surrogate",
+                 "stretching", "noise_compensator", "grad_norm", "qv_predicted"]:
+        assert terminal[2][name] == pytest.approx(fine[name], rel=5e-4), name
+    assert terminal[2]["martingale"] == pytest.approx(fine["martingale"], abs=3e-4)
 
 
 def test_mixed_epsilon_rejected():
