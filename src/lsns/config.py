@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .dissipation import DRConfig, DRLedger
@@ -123,7 +123,7 @@ class ExperimentConfig:
 
     def _noise_from_files(self, kind, files, block) -> NoiseModel:
         from .persist import read_snapshot
-        from .spectral import ScalarField, SpectralField
+        from .spectral import ScalarField
 
         grid = self.grid()
         fields = []
@@ -185,7 +185,6 @@ class ExperimentConfig:
         cfg = DRConfig(
             ell_values=tuple(_need(block, "ell_values", list, "diagnostics.dissipation")),
             alpha_kind=_opt(block, "alpha_kind", "paper_bump"),
-            quadrature=_opt(block, "quadrature", 24),
         )
         cfg.validate_resolution(self.grid())
         return cfg

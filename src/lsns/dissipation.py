@@ -42,11 +42,10 @@ from .testfunc import TestFunction
 
 @dataclass(frozen=True)
 class DRConfig:
-    """Mollifier ladder and oracle resolution for the dissipation ledger."""
+    """Mollifier ladder for the dissipation ledger."""
 
     ell_values: tuple = (1.0 / 4, 1.0 / 8, 1.0 / 16, 1.0 / 32)
     alpha_kind: str = "paper_bump"
-    quadrature: int = 24
 
     def __post_init__(self):
         e = tuple(float(v) for v in self.ell_values)
@@ -57,8 +56,6 @@ class DRConfig:
             raise ConfigurationError("ell values must be strictly decreasing")
         if max(e) > 0.25:
             raise ConfigurationError("largest ell must not exceed 1/4 (kernel support)")
-        if self.quadrature < 4:
-            raise ConfigurationError("displacement quadrature needs >= 4 points per axis")
 
     def validate_resolution(self, grid: Grid):
         for v in self.ell_values:

@@ -322,48 +322,3 @@ XI_FUNCTIONALS = {
     "inv_sup_energy": lambda led: 1.0 / (1.0 + max(led.state_l2) ** 2),
 }
 
-
-@dataclass(frozen=True)
-class ContinuityReport:
-    ratios: tuple[float, ...]
-    lambdas: tuple[float, ...]
-    stable: bool
-
-
-def phi_l5_distance(phi1: TestFunction, phi2: TestFunction, times: np.ndarray,
-                    dt: float, p: int) -> float:
-    """||phi1 - phi2||_{L^5([0,T] x T^3)} by left-endpoint/grid quadrature."""
-    s1, s2 = phi1.spatial_values(p), phi2.spatial_values(p)
-    total = 0.0
-    for t in times[:-1]:
-        diff = phi1.theta(t) * s1 - phi2.theta(t) * s2
-        total += dt * float(np.mean(np.abs(diff) ** 5))
-    return total ** (1.0 / 5.0)
-
-
-def martingale_map_continuity(paired_ledgers: list[tuple[EnergyLedger, EnergyLedger]],
-                              phi1: TestFunction, phi2: TestFunction,
-                              alpha: float, dt: float, pad: int,
-                              lambdas=(1.0, 0.5, 0.25)) -> ContinuityReport:
-    """Empirical E sup_t |N(phi1) - N(phi2)|^alpha over ||phi1-phi2||_L5^alpha.
-
-    N is linear in phi, so the ratio is invariant under phi2 -> phi1 +
-    lam (phi2 - phi1); the report exercises that scaling on the recorded
-    series (contract: stable within a factor 2).
-    """
-    if not (1.0 <= alpha < 4.0):
-        raise ConfigurationError(f"alpha must lie in [1, 4), got {alpha}")
-    times = np.asarray(paired_ledgers[0][0].time)
-    dist = phi_l5_distance(phi1, phi2, times, dt, pad)
-    ratios = []
-    for lam in lambdas:
-        sups = [
-            np.max(np.abs(lam * (np.asarray(l1.martingale) - np.asarray(l2.martingale))))
-            for l1, l2 in paired_ledgers
-        ]
-        num = float(np.mean(np.asarray(sups) ** alpha))
-        den = (lam * dist) ** alpha
-        ratios.append(num / den if den > 0 else 0.0)
-    finite = [r for r in ratios if r > 0]
-    stable = bool(finite and max(finite) <= 2.0 * min(finite))
-    return ContinuityReport(tuple(ratios), tuple(lambdas), stable)

@@ -37,6 +37,7 @@ from .integrate import Trajectory, em_path
 from .persist import atomic_write_json, save_trajectory, write_csv
 from .spectral import l2_norm
 from .stepview import drive, views_from_trajectory, views_of
+from .vorticity import vorticity_bounds_report
 
 WORKER_ENV = "LSNS_WORKERS"
 
@@ -183,30 +184,34 @@ def summarize(cfg: ExperimentConfig, records: list[dict], wall_clock: float) -> 
     if vort:
         nt, zero_ok = zero_mean("vorticity/terminal_martingale",
                                 [p["martingale"][-1] for p in vort])
-        margin = float(min(p["min_holder_margin"] for p in vort))
+        rep = vorticity_bounds_report(vort)
         tests["vorticity"] = {
             "criterion": "vorticity_identity_zero_mean_4sigma",
             "terminal_martingale": nt,
             "zero_mean_pass": zero_ok,
-            "mean_sup_l1": float(np.mean([p["sup_l1"] for p in vort])),
-            "mean_grad_norm": float(np.mean([p["grad_norm"] for p in vort])),
-            "min_holder_margin": margin,
-            "holder_pass": judge("vorticity/holder", margin >= -1e-12,
-                                 f"min Hoelder margin {margin:.3g} vs -1e-12"),
-            "norm_chain_pass": judge("vorticity/norm_chain",
-                                     all(p["norm_chain_ok"] for p in vort),
+            "mean_sup_l1": rep.mean_sup_l1,
+            "mean_grad_norm": rep.mean_grad_norm,
+            "min_holder_margin": rep.min_holder_margin,
+            "holder_pass": judge("vorticity/holder", rep.holder_ok,
+                                 f"min Hoelder margin {rep.min_holder_margin:.3g} vs -1e-12"),
+            "norm_chain_pass": judge("vorticity/norm_chain", rep.norm_chain_ok,
                                      "L1 / sqrt-moment chain at every step of every path"),
         }
 
     dr = [r["dissipation"] for r in good if "dissipation" in r]
     if dr:
         cauchy = np.mean(np.asarray([d["cauchy"] for d in dr]), axis=0)
+        n_ell = len(cauchy) + 1
+        if n_ell < 3:  # fewer than two differences: no trend to judge
+            ok, reason = None, (f"{n_ell} ell values give {n_ell - 1} Cauchy "
+                                f"differences; a trend needs 3 ell values")
+        else:
+            ok = all(b <= a * 1.5 for a, b in zip(cauchy, cauchy[1:]))
+            reason = "each mean Cauchy difference <= 1.5x the previous"
         tests["dissipation"] = {
             "criterion": "dr_cauchy_trend",
             "mean_cauchy_differences": [float(c) for c in cauchy],
-            "nonincreasing": judge("dissipation/cauchy_trend",
-                                   all(b <= a * 1.5 for a, b in zip(cauchy, cauchy[1:])),
-                                   "each mean Cauchy difference <= 1.5x the previous"),
+            "nonincreasing": judge("dissipation/cauchy_trend", ok, reason),
         }
 
     return {

@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BlowUpError, ConfigurationError
-from .mollifier import Mollifier, make_mollifier, mollify
+from .mollifier import make_mollifier, mollify
 from .noise import NoiseModel, TruncationLevel
 from .rng import BrownianIncrements
 from .spectral import (

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .mollifier import Mollifier, mollify
 from .spectral import (
     Grid,
     ScalarField,
@@ -198,10 +197,6 @@ class NoiseModel:
         mod = np.sqrt(1.0 + np.sum(u_phys**2, axis=0))
         return [forward_transform(self.grid, self._phys_cache[k - 1] * np.cos(k * mod)[None])
                 for k in ks]
-
-    def eval_curl(self, k: int, u: SpectralField, m: Mollifier) -> SpectralField:
-        """rho_k = psi_eps * [curl sigma_k(u)]; curl and mollification commute."""
-        return mollify(curl(self.eval(k, u)), m)
 
     # -- analytic per-family bounds -----------------------------------------
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrate import Hooks, RunParams, Workspace, integrate
-from .mollifier import bump_mass, make_mollifier, radial_multiplier
+from .mollifier import bump_mass, radial_multiplier
 from .noise import make_noise_model
 from .spectral import (
     Grid,
@@ -43,15 +43,21 @@ class OracleResult:
     seconds: float
 
 
+def dft_oracle(samples: np.ndarray) -> np.ndarray:
+    """Direct O(M^6) DFT sum, the brute-force oracle for forward_transform."""
+    m = samples.shape[-1]
+    n1 = np.fft.fftfreq(m, d=1.0 / m).astype(int)
+    x1 = np.arange(m) / m
+    w = np.exp(-2j * np.pi * np.outer(n1, x1))  # w[n, j] = e^{-2 pi i n x_j}
+    return np.einsum("ax,by,cz,...xyz->...abc", w, w, w, samples) / m**3
+
+
 def _oracle_forward_dft(m: int, seed: int) -> float:
     grid = Grid(m)
     gen = np.random.Generator(np.random.Philox(key=seed))
     samples = gen.standard_normal((3, m, m, m))
     f = forward_transform(grid, samples)
-    n1 = np.fft.fftfreq(m, d=1.0 / m).astype(int)
-    x1 = np.arange(m) / m
-    w = np.exp(-2j * np.pi * np.outer(n1, x1))
-    oracle = np.einsum("ax,by,cz,ixyz->iabc", w, w, w, samples) / m**3
+    oracle = dft_oracle(samples)
     return float(np.max(np.abs(f.coeffs - oracle)) / np.max(np.abs(oracle)))
 
 
@@ -91,6 +97,30 @@ def _oracle_pressure(m: int, seed: int) -> float:
     return err
 
 
+def convolution_oracle(a_hat: np.ndarray, b_hat: np.ndarray, cutoff: int) -> np.ndarray:
+    """Exact convolution of two M-grid spectra restricted to |n_i| <= cutoff.
+
+    A sum outside the grid's wavenumbers (possible when cutoff >= M/2) is
+    dropped, not wrapped."""
+    m = a_hat.shape[-1]
+    n1 = np.fft.fftfreq(m, d=1.0 / m).astype(int)
+    out = np.zeros_like(a_hat)
+    idx = {int(n): i for i, n in enumerate(n1)}
+    for na in np.ndindex(m, m, m):
+        va = a_hat[na]
+        if va == 0.0:
+            continue
+        pa = (n1[na[0]], n1[na[1]], n1[na[2]])
+        for nb in np.ndindex(m, m, m):
+            vb = b_hat[nb]
+            if vb == 0.0:
+                continue
+            s = (pa[0] + n1[nb[0]], pa[1] + n1[nb[1]], pa[2] + n1[nb[2]])
+            if max(abs(s[0]), abs(s[1]), abs(s[2])) <= cutoff and all(v in idx for v in s):
+                out[idx[s[0]], idx[s[1]], idx[s[2]]] += va * vb
+    return out
+
+
 def _oracle_nonlinear_convolution(m: int, seed: int) -> float:
     if _MUTATION_HOOKS["corrupt_dealiasing"]:
         # negative control: a cutoff beyond the 2/3 rule lets the physical
@@ -101,27 +131,10 @@ def _oracle_nonlinear_convolution(m: int, seed: int) -> float:
     u = random_solenoidal(grid, seed)
     v = random_solenoidal(grid, seed + 1)
     t_hat = advection_tensor(u, v)
-    n1 = np.fft.fftfreq(m, d=1.0 / m).astype(int)
-    idx = {int(nn): i for i, nn in enumerate(n1)}
     worst = 0.0
-    cutoff = grid.dealias_cutoff
     for i in range(3):
         for j in range(3):
-            oracle = np.zeros((m, m, m), dtype=complex)
-            a, b = v.coeffs[i], u.coeffs[j]
-            for na in np.ndindex(m, m, m):
-                va = a[na]
-                if va == 0.0:
-                    continue
-                pa = (n1[na[0]], n1[na[1]], n1[na[2]])
-                for nb in np.ndindex(m, m, m):
-                    vb = b[nb]
-                    if vb == 0.0:
-                        continue
-                    s = (pa[0] + n1[nb[0]], pa[1] + n1[nb[1]], pa[2] + n1[nb[2]])
-                    if max(abs(s[0]), abs(s[1]), abs(s[2])) <= cutoff \
-                            and all(v in idx for v in s):
-                        oracle[idx[s[0]], idx[s[1]], idx[s[2]]] += va * vb
+            oracle = convolution_oracle(v.coeffs[i], u.coeffs[j], grid.dealias_cutoff)
             scale = max(np.max(np.abs(oracle)), 1e-30)
             worst = max(worst, float(np.max(np.abs(t_hat[i, j] * grid.dealias_mask - oracle)) / scale))
     return worst

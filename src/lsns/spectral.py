@@ -16,7 +16,7 @@ convolution value (classical 2/3 rule).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigurationError
 
 __all__ = [
-    "chi", "chi_prime", "TemporalWindow", "SpatialBump", "SampledSpatial",
+    "chi", "chi_prime", "TemporalWindow", "SpatialBump",
     "TestFunction", "builtin_test_functions",
 ]
 
@@ -153,66 +153,12 @@ class SpatialBump:
 
 
 @dataclass(frozen=True)
-class SampledSpatial:
-    """User-supplied spatial data: samples plus derivative arrays on a P grid.
-
-    The derivative arrays are cross-checked against spectral differentiation
-    of the samples; inconsistent data is rejected.
-    """
-
-    samples: np.ndarray        # (P, P, P), nonnegative
-    grad_samples: np.ndarray   # (3, P, P, P)
-    lap_samples: np.ndarray    # (P, P, P)
-
-    def __post_init__(self):
-        import scipy.fft as sfft
-
-        p = self.samples.shape[0]
-        if self.samples.min() < 0:
-            raise ConfigurationError("test function values must be nonnegative")
-        n1 = np.fft.fftfreq(p, d=1.0 / p)
-        nx, ny, nz = np.meshgrid(n1, n1, n1, indexing="ij")
-        f_hat = sfft.fftn(self.samples)
-        scale = max(np.max(np.abs(self.grad_samples)), 1e-30)
-        for i, ni in enumerate([nx, ny, nz]):
-            d = sfft.ifftn(2j * np.pi * ni * f_hat).real
-            if np.max(np.abs(d - self.grad_samples[i])) > 1e-6 * scale:
-                raise ConfigurationError(
-                    "sampled gradient inconsistent with spectral derivative of samples"
-                )
-        lap = sfft.ifftn(-(2 * np.pi) ** 2 * (nx**2 + ny**2 + nz**2) * f_hat).real
-        if np.max(np.abs(lap - self.lap_samples)) > 1e-6 * max(np.max(np.abs(lap)), 1e-30):
-            raise ConfigurationError(
-                "sampled Laplacian inconsistent with spectral derivative of samples"
-            )
-
-    def _resample(self, arr, p):
-        src = arr.shape[-1]
-        if p == src:
-            return arr.copy()
-        if p % src != 0:
-            raise ConfigurationError("sampled test functions need P a multiple of their grid")
-        from .spectral import Grid, forward_transform, synthesize
-
-        return synthesize(forward_transform(Grid(src), arr), p)
-
-    def values(self, p: int) -> np.ndarray:
-        return self._resample(self.samples, p)
-
-    def grad(self, p: int) -> np.ndarray:
-        return self._resample(self.grad_samples, p)
-
-    def laplacian(self, p: int) -> np.ndarray:
-        return self._resample(self.lap_samples, p)
-
-
-@dataclass(frozen=True)
 class TestFunction:
     """phi(t, x) = theta(t) s(x) >= 0; None factors mean the constant 1."""
 
     __test__ = False  # not a pytest class, despite the name
 
-    spatial: SpatialBump | SampledSpatial | None = None
+    spatial: SpatialBump | None = None
     temporal: TemporalWindow | None = None
     label: str = "phi"
 
@@ -244,11 +190,7 @@ class TestFunction:
     @property
     def spatial_bandwidth(self) -> int:
         """Per-axis Fourier bandwidth of the spatial factor."""
-        if self.spatial is None:
-            return 0
-        if isinstance(self.spatial, SpatialBump):
-            return self.spatial.exponent
-        return self.spatial.samples.shape[0] // 2
+        return 0 if self.spatial is None else self.spatial.exponent
 
     # spatial factor on a P^3 grid
     def spatial_values(self, p: int) -> np.ndarray:

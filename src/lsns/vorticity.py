@@ -35,7 +35,6 @@ import numpy as np
 
 from .energy import mean_stderr
 from .errors import ConfigurationError
-from .persist import write_csv
 from .stepview import STATE, SUM, Ledger, StepView, realized_qv
 
 __all__ = [
@@ -271,38 +270,31 @@ class VorticityBoundsReport:
     norm_chain_ok: bool
 
 
-def vorticity_bounds_report(ledgers: list[VorticityLedger]) -> VorticityBoundsReport:
-    """Ensemble estimates of E sup_t ||omega||_L1 and E int |grad omega|^{4/(3+d)}.
+def vorticity_bounds_report(payloads: list[dict]) -> VorticityBoundsReport:
+    """Ensemble estimates of E sup_t ||omega||_L1 and E int |grad omega|^{4/(3+d)}
+    from the path records' vorticity payloads (``VorticityLedger.payload``).
 
     Mixed-epsilon ensembles are rejected; the per-path Hoelder chain and the
     L1 / sqrt-moment norm chain are verified at every step.
     """
-    if not ledgers:
+    if not payloads:
         raise ConfigurationError("empty ensemble")
-    eps = {led.epsilon for led in ledgers}
+    eps = {p["epsilon"] for p in payloads}
     if len(eps) != 1:
         raise ConfigurationError(f"mixed-epsilon ensemble rejected: {sorted(eps)}")
-    mean_l1, stderr_l1 = mean_stderr([max(led.l1_norm) for led in ledgers])
-    mean_gn, stderr_gn = mean_stderr([led.grad_norm[-1] for led in ledgers])
-    minm = float(min(led.min_holder_margin() for led in ledgers))
-    chain = all(all(led.norm_chain_ok) for led in ledgers)
+    mean_l1, stderr_l1 = mean_stderr([p["sup_l1"] for p in payloads])
+    mean_gn, stderr_gn = mean_stderr([p["grad_norm"] for p in payloads])
+    minm = float(min(p["min_holder_margin"] for p in payloads))
     return VorticityBoundsReport(
-        paths=len(ledgers),
+        paths=len(payloads),
         mean_sup_l1=mean_l1,
         stderr_sup_l1=stderr_l1,
         mean_grad_norm=mean_gn,
         stderr_grad_norm=stderr_gn,
         min_holder_margin=minm,
         holder_ok=minm >= -1e-12,
-        norm_chain_ok=chain,
+        norm_chain_ok=all(p["norm_chain_ok"] for p in payloads),
     )
-
-
-def ladder_trend_csv(entries: list[tuple[float, VorticityBoundsReport]], path):
-    """Write the eps-ladder trend table as CSV; returns the verdict."""
-    rows, ok = ladder_trend_table(entries)
-    write_csv(path, ["epsilon", "mean_sup_l1", "mean_grad_norm"], rows)
-    return ok
 
 
 def ladder_trend_table(entries: list[tuple[float, VorticityBoundsReport]]):

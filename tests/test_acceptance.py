@@ -9,12 +9,9 @@ stated statistical bars hold with margin.
 """
 
 import json
-import shutil
 import time
-from pathlib import Path
 
 import numpy as np
-import pytest
 
 from lsns.config import ExperimentConfig
 from lsns.dissipation import commutator_identity_check, dr_oracle_agreement

@@ -8,13 +8,12 @@ from lsns.dissipation import (
     dissipation_submartingale_test,
     dr_integrand,
     dr_oracle_agreement,
-    displacement_quadrature_dr,
 )
 from lsns.energy import EnergyLedger, Event
 from lsns.errors import ConfigurationError
 from lsns.integrate import RunParams
 from lsns.noise import make_noise_model
-from lsns.spectral import Grid, SpectralField, forward_transform, synthesize
+from lsns.spectral import Grid, SpectralField, forward_transform
 from lsns.stepview import drive, iter_views
 from lsns.testfunc import SpatialBump, TemporalWindow, TestFunction
 
@@ -105,7 +104,7 @@ def test_dr_ledger_smooth_field_cauchy_trend():
     t_end = 0.25
     phi = TestFunction(SpatialBump(exponent=2),
                        TemporalWindow(t_end / 4, 3 * t_end / 4, t_end / 8))
-    cfg = DRConfig(ell_values=(1.0 / 4, 1.0 / 8, 1.0 / 16), quadrature=16)
+    cfg = DRConfig(ell_values=(1.0 / 4, 1.0 / 8, 1.0 / 16))
     p = RunParams(nu=0.05, epsilon=0.25, dt=1.0 / 64, t_end=t_end, grid=G16, seed=5)
     el, dl = make_ledgers(p, taylor_green(G16, 0.8), None, phi, cfg)
     finals = [abs(dl.series[v][-1]) for v in cfg.ell_values]
@@ -124,7 +123,7 @@ def test_submartingale_monte_carlo():
     t_end = 0.25
     phi = TestFunction(SpatialBump(exponent=2),
                        TemporalWindow(t_end / 4, 3 * t_end / 4, t_end / 8))
-    cfg = DRConfig(ell_values=(1.0 / 8, 1.0 / 16), quadrature=16)
+    cfg = DRConfig(ell_values=(1.0 / 8, 1.0 / 16))
     noise = make_noise_model(G16, "additive", amplitude=0.3, max_k=10)
     ledgers = []
     for pid in range(24):
@@ -149,7 +148,7 @@ def test_noise_off_submartingale_near_zero():
     t_end = 0.25
     phi = TestFunction(SpatialBump(exponent=2),
                        TemporalWindow(t_end / 4, 3 * t_end / 4, t_end / 8))
-    cfg = DRConfig(ell_values=(1.0 / 8,), quadrature=16)
+    cfg = DRConfig(ell_values=(1.0 / 8,))
     p = RunParams(nu=0.05, epsilon=0.25, dt=1.0 / 128, t_end=t_end, grid=G16, seed=7)
     _, dl = make_ledgers(p, taylor_green(G16, 0.6), None, phi, cfg)
     rep = dissipation_submartingale_test([dl, dl], 1.0 / 8, s=0.125, t=0.25,

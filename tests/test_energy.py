@@ -5,14 +5,12 @@ from lsns.energy import (
     EnergyLedger,
     Event,
     lei_scalar_check,
-    martingale_map_continuity,
-    phi_l5_distance,
     supermartingale_test,
 )
 from lsns.errors import ConfigurationError
 from lsns.integrate import Hooks, RunParams, integrate
 from lsns.noise import make_noise_model
-from lsns.spectral import Grid, SpectralField, forward_transform, synthesize
+from lsns.spectral import Grid, SpectralField, synthesize
 from lsns.stepview import drive, iter_views, views_from_trajectory
 from lsns.testfunc import SpatialBump, TemporalWindow, TestFunction
 from lsns.vorticity import HFunction, VorticityLedger
@@ -287,44 +285,6 @@ def test_lei_scalar_check_cases():
 
     with pytest.raises(ConfigurationError):
         lei_scalar_check(ledgers, xi=lambda led: -1.0)
-
-
-def test_martingale_map_continuity_scaling():
-    t_end = 0.25
-    w = window(t_end)
-    phi1 = TestFunction(SpatialBump(exponent=2), w)
-    phi2 = TestFunction(SpatialBump(exponent=1), w)
-    noise = make_noise_model(G8, "additive", amplitude=0.25, max_k=6)
-    pairs = []
-    for pid in range(12):
-        p = params(dt=1.0 / 64, path_id=pid)
-        u0 = taylor_green(G8, 0.7)
-        l1 = run_ledger(p, u0, noise, phi1)
-        l2 = run_ledger(p, u0, noise, phi2)
-        pairs.append((l1, l2))
-    rep = martingale_map_continuity(pairs, phi1, phi2, alpha=2.0,
-                                    dt=1.0 / 64, pad=16)
-    assert rep.stable
-    assert rep.ratios[0] > 0
-
-    # identical test functions: numerator zero
-    pairs_same = [(l1, l1) for l1, _ in pairs]
-    rep_same = martingale_map_continuity(pairs_same, phi1, phi1, alpha=2.0,
-                                         dt=1.0 / 64, pad=16)
-    assert all(r == 0.0 for r in rep_same.ratios)
-
-    with pytest.raises(ConfigurationError):
-        martingale_map_continuity(pairs, phi1, phi2, alpha=5.0, dt=1.0 / 64, pad=16)
-
-
-def test_phi_l5_distance_positive():
-    w = window(0.25)
-    phi1 = TestFunction(SpatialBump(exponent=2), w)
-    phi2 = TestFunction(SpatialBump(exponent=1), w)
-    times = np.linspace(0, 0.25, 17)
-    d = phi_l5_distance(phi1, phi2, times, 0.25 / 16, 16)
-    assert d > 0
-    assert phi_l5_distance(phi1, phi1, times, 0.25 / 16, 16) == 0.0
 
 
 def test_zero_mean_multiplicative_and_cosine_families():

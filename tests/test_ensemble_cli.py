@@ -1,6 +1,5 @@
 import csv
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from lsns.cli import main as cli_main
-from lsns.config import ExperimentConfig, canonical_json, initial_field
+from lsns.config import ExperimentConfig, initial_field
 from lsns.ensemble import MIN_PATHS, replay, report, run_experiment, run_one_path
 from lsns.errors import ConfigurationError
 from lsns.integrate import RunParams, integrate
@@ -20,6 +19,7 @@ from lsns.persist import (
     write_snapshot,
 )
 from lsns.spectral import Grid, ScalarField
+from lsns.vorticity import vorticity_bounds_report
 
 from helpers import random_solenoidal, taylor_green
 
@@ -258,6 +258,41 @@ def test_few_paths_give_degenerate_verdicts(tmp_path):
         assert status[test]["status"] == "degenerate", test
         assert status[test]["reason"].startswith(f"n = 3 < {MIN_PATHS} paths"), test
     assert summary["all_passed"] is False
+
+
+def test_cauchy_trend_needs_three_ells(tmp_path):
+    # one or two ell values give fewer than two Cauchy differences: there is
+    # no trend to compare, so the verdict is degenerate, never a pass
+    for ells in ([0.25, 0.125], [0.25]):
+        doc = base_config(tmp_path / str(len(ells)))
+        doc["noise"] = {"kind": "off"}
+        doc["diagnostics"]["dissipation"] = {"ell_values": ells}
+        doc["ensemble"]["paths"] = 2
+        summary = run_experiment(ExperimentConfig.parse(doc))
+        block = summary["tests"]["dissipation"]
+        assert len(block["mean_cauchy_differences"]) == len(ells) - 1
+        assert block["nonincreasing"] is False
+        verdict = {v["test"]: v for v in summary["verdicts"]}["dissipation/cauchy_trend"]
+        assert verdict["status"] == "degenerate"
+        assert verdict["reason"].startswith(f"{len(ells)} ell values give {len(ells) - 1} ")
+        assert summary["all_passed"] is False
+
+
+def test_summary_vorticity_block_is_the_report(tmp_path):
+    # summarize builds its vorticity block from vorticity_bounds_report over
+    # the path records' payloads, not from a second reduction of its own
+    doc = base_config(tmp_path)
+    doc["ensemble"]["paths"] = 2
+    summary = run_experiment(ExperimentConfig.parse(doc))
+    records = [json.loads((tmp_path / "out" / "paths" / f"path_{pid:06d}.json").read_text())
+               for pid in range(2)]
+    rep = vorticity_bounds_report([r["vorticity"] for r in records])
+    block = summary["tests"]["vorticity"]
+    assert block["mean_sup_l1"] == rep.mean_sup_l1
+    assert block["mean_grad_norm"] == rep.mean_grad_norm
+    assert block["min_holder_margin"] == rep.min_holder_margin
+    assert block["holder_pass"] is rep.holder_ok
+    assert block["norm_chain_pass"] is rep.norm_chain_ok
 
 
 # terminal values of the pinned run below, computed with the hand-written

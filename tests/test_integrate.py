@@ -11,9 +11,8 @@ from lsns.integrate import (
     initial_condition,
     integrate,
     noise_term_path,
-    step,
 )
-from lsns.mollifier import make_mollifier, radial_multiplier
+from lsns.mollifier import radial_multiplier
 from lsns.noise import make_noise_model
 from lsns.rng import BrownianIncrements
 from lsns.spectral import (

@@ -11,7 +11,7 @@ from lsns.mollifier import (
     multiplier_on_modes,
     radial_multiplier,
 )
-from lsns.spectral import Grid, forward_transform, l2_norm, mean_mode
+from lsns.spectral import Grid, l2_norm, mean_mode
 
 from helpers import random_field, random_solenoidal
 

@@ -8,7 +8,6 @@ from lsns.noise import (
     TruncationLevel,
     make_noise_model,
     single_mode_scalar_field,
-    single_mode_vector_field,
     validate_linear_growth,
     validate_tail_decay,
     validate_vorticity_control,
@@ -18,7 +17,6 @@ from lsns.spectral import (
     SpectralField,
     curl,
     divergence_residual,
-    forward_transform,
     inverse_transform,
     l2_norm,
 )
@@ -92,15 +90,6 @@ def test_eval_deterministic_and_mollified_contraction():
     assert np.array_equal(a.coeffs, b.coeffs)
     mol = make_mollifier(G, 0.25)
     assert l2_norm(mollify(a, mol)) <= l2_norm(a) * (1 + 1e-14)
-
-
-def test_eval_curl_commutes():
-    model = make_noise_model(G, "additive", max_k=3)
-    u = samples(1)[0]
-    mol = make_mollifier(G, 0.25)
-    a = model.eval_curl(2, u, mol)
-    b = curl(mollify(model.eval(2, u), mol))
-    assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-13 * max(np.max(np.abs(a.coeffs)), 1e-30)
 
 
 def test_linear_growth_additive_zero_sample():

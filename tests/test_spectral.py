@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from lsns.errors import ConfigurationError, GridMismatchError
+from lsns.oracles import convolution_oracle, dft_oracle
 from lsns.spectral import (
     Grid,
-    ScalarField,
     SpectralField,
     curl,
     dealias,
@@ -22,8 +22,6 @@ from lsns.spectral import (
 )
 
 from helpers import (
-    convolution_oracle,
-    dft_oracle,
     random_field,
     random_solenoidal,
     random_vector_samples,

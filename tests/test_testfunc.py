@@ -3,7 +3,6 @@ import pytest
 
 from lsns.errors import ConfigurationError
 from lsns.testfunc import (
-    SampledSpatial,
     SpatialBump,
     TemporalWindow,
     TestFunction,
@@ -71,17 +70,6 @@ def test_spatial_bump_nonnegative_and_derivatives():
             assert np.max(np.abs(d - bump.grad(p)[i])) <= 1e-10 * np.max(np.abs(d) + 1e-30)
         lap = sfft.ifftn(-(2 * np.pi) ** 2 * (nx**2 + ny**2 + nz**2) * f_hat).real
         assert np.max(np.abs(lap - bump.laplacian(p))) <= 1e-10 * np.max(np.abs(lap))
-
-
-def test_sampled_spatial_consistency_check():
-    bump = SpatialBump(exponent=2)
-    p = 16
-    good = SampledSpatial(bump.values(p), bump.grad(p), bump.laplacian(p))
-    assert good.values(32).shape == (32, 32, 32)
-    with pytest.raises(ConfigurationError):
-        SampledSpatial(bump.values(p), 1.5 * bump.grad(p), bump.laplacian(p))
-    with pytest.raises(ConfigurationError):
-        SampledSpatial(-bump.values(p), bump.grad(p), bump.laplacian(p))
 
 
 def test_test_function_composition():

@@ -7,7 +7,6 @@ from lsns.integrate import RunParams
 from lsns.noise import make_noise_model
 from lsns.spectral import Grid, SpectralField, forward_transform
 from lsns.stepview import drive, iter_views
-from lsns.testfunc import TestFunction
 from lsns.vorticity import (
     BoundViolation,
     HFunction,
@@ -162,7 +161,7 @@ def test_stochastic_residual_zero_mean():
     stderr = nts.std(ddof=1) / np.sqrt(len(nts))
     assert abs(nts.mean()) <= 4 * stderr
 
-    rep = vorticity_bounds_report(ledgers)
+    rep = vorticity_bounds_report([led.payload() for led in ledgers])
     assert rep.holder_ok and rep.norm_chain_ok
     assert rep.mean_sup_l1 > 0
 
@@ -196,7 +195,7 @@ def test_mixed_epsilon_rejected():
     l1 = run_vort(p1, taylor_green(G8, 0.6), None)
     l2 = run_vort(p2, taylor_green(G8, 0.6), None)
     with pytest.raises(ConfigurationError):
-        vorticity_bounds_report([l1, l2])
+        vorticity_bounds_report([l1.payload(), l2.payload()])
 
 
 def test_ladder_trend_table():
@@ -207,25 +206,8 @@ def test_ladder_trend_table():
         ledgers = [run_vort(params(grid=G8, dt=1.0 / 64, t_end=0.125,
                                    epsilon=eps, path_id=pid),
                             taylor_green(G8, 0.6), noise) for pid in range(4)]
-        reports.append((eps, vorticity_bounds_report(ledgers)))
+        reports.append((eps, vorticity_bounds_report([led.payload() for led in ledgers])))
     rows, ok = ladder_trend_table(reports)
     assert len(rows) == 3
     assert ok  # no monotone blow-up across the ladder
 
-
-def test_ladder_trend_csv(tmp_path):
-    from lsns.vorticity import ladder_trend_csv
-
-    reports = []
-    for eps in [1.0 / 4, 1.0 / 8]:
-        noise = make_noise_model(G8, "additive", amplitude=0.2, max_k=12)
-        ledgers = [run_vort(params(grid=G8, dt=1.0 / 64, t_end=0.125,
-                                   epsilon=eps, path_id=pid),
-                            taylor_green(G8, 0.6), noise) for pid in range(3)]
-        reports.append((eps, vorticity_bounds_report(ledgers)))
-    out = tmp_path / "ladder.csv"
-    ok = ladder_trend_csv(reports, out)
-    assert ok
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "epsilon,mean_sup_l1,mean_grad_norm"
-    assert len(lines) == 3
