@@ -42,6 +42,53 @@ def _opt(block: dict, key: str, default):
     return block.get(key, default)
 
 
+def _keys(names: str) -> dict:
+    return dict.fromkeys(names.split())
+
+
+# The keys each block accepts: a dict value is a sub-block, a one-element list
+# the schema of each entry of a list of sub-blocks, None a plain value.
+SCHEMA = {
+    "schema_version": None,
+    "run": {**_keys("nu epsilon dt t_end m dealias_cutoff scheme mollifier_kind"),
+            "initial_condition": _keys("kind amplitude seed smooth path")},
+    "noise": _keys("kind amplitude ratio max_k flatness coefficient_files tail_beyond_max_k"),
+    "diagnostics": {
+        "test_functions": [{"name": None, "spatial": _keys("center exponent"),
+                            "temporal": _keys("a b ramp")}],
+        "events": [_keys("kind at q")],
+        "supermartingale": _keys("s t"),
+        "lei_xi": None,
+        "vorticity": _keys("delta"),
+        "dissipation": _keys("ell_values alpha_kind"),
+    },
+    "ensemble": _keys("paths seed workers"),
+    "output": _keys("directory stride save_snapshots write_csv"),
+}
+
+# Keys that older configs carry and nothing reads any more: accepted, ignored.
+RETIRED_KEYS = frozenset({"diagnostics.dissipation.quadrature"})
+
+
+def _check_keys(block, schema: dict, where: str):
+    """Reject a key the schema does not name, so a misspelt option fails here
+    instead of silently falling back to its default."""
+    if not isinstance(block, dict):
+        return  # the block's reader reports a wrong type
+    for key, val in block.items():
+        path = f"{where}.{key}" if where else key
+        if key not in schema:
+            if path not in RETIRED_KEYS:
+                raise ConfigurationError(f"{where or 'config'}: unknown key {key!r}")
+            continue
+        sub = schema[key]
+        if isinstance(sub, list):
+            for i, item in enumerate(val if isinstance(val, list) else []):
+                _check_keys(item, sub[0], f"{path}[{i}]")
+        elif sub is not None:
+            _check_keys(val, sub, path)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     raw: dict
@@ -60,6 +107,7 @@ class ExperimentConfig:
         for block in ("run", "ensemble", "output"):
             if block not in doc:
                 raise ConfigurationError(f"{block}: missing block")
+        _check_keys(doc, SCHEMA, "")
         cfg = cls(raw=json.loads(canonical_json(doc)))
         # eager validation of every cross-referenced object
         cfg.run_params(path_id=0)

@@ -193,6 +193,8 @@ def summarize(cfg: ExperimentConfig, records: list[dict], wall_clock: float) -> 
             "mean_grad_norm": rep.mean_grad_norm,
             "min_holder_margin": rep.min_holder_margin,
             "holder_pass": judge("vorticity/holder", rep.holder_ok,
+                                 "no step: no Hoelder margin to compare"
+                                 if rep.min_holder_margin is None else
                                  f"min Hoelder margin {rep.min_holder_margin:.3g} vs -1e-12"),
             "norm_chain_pass": judge("vorticity/norm_chain", rep.norm_chain_ok,
                                      "L1 / sqrt-moment chain at every step of every path"),

@@ -15,6 +15,11 @@ evaluated at the left endpoint. Incompressibility is enforced exactly by
 the projection; the associated gradient pressure (from the mollified
 advection tensor) is returned as a diagnostic.
 
+The drift and pressure are computed on the retained half-spectrum
+(``spectral.product_modes``: the (2K+1)^2 (K+1) modes inside the cut with
+n_z >= 0) and scattered back to the full (3, M, M, M) layout the state
+keeps, as is the additive noise increment.
+
 ``em_path`` is the one Euler-Maruyama loop of the package: ``integrate``
 folds its stream into a stored ``Trajectory``, the StepView stream of the
 diagnostic ledgers wraps it (``stepview.iter_views``), and
@@ -40,12 +45,12 @@ from .spectral import (
     ScalarField,
     SpectralField,
     TWO_PI,
-    advection_tensor,
     curl,
-    gradient,
-    l2_norm,
+    divergence_and_pressure,
+    gather,
     leray_project,
-    pressure_from_tensor,
+    product_modes,
+    scatter,
     synthesize,
 )
 
@@ -118,6 +123,7 @@ class Workspace:
         g = params.grid
         self.grid = g
         self.mol = make_mollifier(g, params.epsilon, params.mollifier_kind)
+        self.mol_modes = gather(g, self.mol.multiplier)
         self.mask = g.dealias_mask
         self.heat = np.exp(-4.0 * np.pi**2 * params.nu * g.k2 * params.dt)
         self.n_noise = 0
@@ -134,6 +140,7 @@ class Workspace:
                     leray_project(mollify(f, self.mol)).coeffs * self.mask
                     for f in noise.vector_fields[: self.n_noise]
                 ]
+                self._additive_modes = [gather(g, c) for c in self.additive_projected]
 
     def noise_spectra(self, tag: str, raw: list) -> list:
         """Noise fields from ``raw`` = [sigma_k(u)]: ``raw`` itself, ``injected``
@@ -164,11 +171,12 @@ class Workspace:
 
     def noise_increment(self, u: SpectralField, db: np.ndarray) -> np.ndarray:
         """Projected noise increment coefficients: P[sum_k g_k dB_k]."""
-        acc = np.zeros_like(u.coeffs)
-        if self.additive_projected is not None:
-            for g, b in zip(self.additive_projected, db):
+        if self.additive_projected is not None:  # summed on the retained modes
+            acc = np.zeros((3, self.grid.modes.full.size), dtype=complex)
+            for g, b in zip(self._additive_modes, db):
                 acc += g * b
-            return acc
+            return scatter(self.grid, acc)
+        acc = np.zeros_like(u.coeffs)
         raw = self.noise.eval_all(self.n_noise, u)
         for g, b in zip(self.noise_spectra("injected", raw), db):
             acc += g.coeffs * b
@@ -188,13 +196,11 @@ def drift_and_pressure(u: SpectralField, ws: Workspace):
     if ws.params.hooks.disable_nonlinearity:
         zero_p = ScalarField(ws.grid, np.zeros_like(u.coeffs[0]))
         return np.zeros_like(u.coeffs), zero_p
-    v = mollify(u, ws.mol)
-    t_hat = advection_tensor(u, v)
-    n = ws.grid.wavenumbers
-    div = TWO_PI * 1j * np.einsum("ixyz,ijxyz->jxyz", n, t_hat)
-    p = pressure_from_tensor(ws.grid, t_hat)
-    drift = -(div + gradient(p).coeffs)
-    return drift, p
+    g = ws.grid
+    um = gather(g, u.coeffs)
+    nt, p = divergence_and_pressure(g, product_modes(g, um, um * ws.mol_modes))
+    drift = scatter(g, -TWO_PI * 1j * (nt + g.modes.n * p))
+    return drift, ScalarField(g, scatter(g, p))
 
 
 def step(u: SpectralField, j: int, params: RunParams, noise: NoiseModel | None,
@@ -205,18 +211,18 @@ def step(u: SpectralField, j: int, params: RunParams, noise: NoiseModel | None,
     mollified advection, i.e. the diagnostic consistent with the projection.
     """
     drift, p = drift_and_pressure(u, ws)
-    c = u.coeffs + params.dt * drift
+    c = params.dt * drift
+    c += u.coeffs
     if params.scheme == "em_explicit":
-        c = c + params.dt * params.nu * (-(TWO_PI**2) * ws.grid.k2) * u.coeffs
+        c += params.dt * params.nu * (-(TWO_PI**2) * ws.grid.k2) * u.coeffs
     if noise is not None and ws.n_noise > 0:
         db = incs.step_increments(j, ws.n_noise)
-        c = c + ws.noise_increment(u, db)
+        c += ws.noise_increment(u, db)
     if params.scheme == "em_semi_implicit":
-        c = c * ws.heat
-    u_next = SpectralField(ws.grid, c)
-    if not np.all(np.isfinite(c)) or l2_norm(u_next) > params.energy_cap:
+        c *= ws.heat
+    if not np.vdot(c, c).real <= params.energy_cap**2:  # also true for inf and nan
         raise BlowUpError(j)
-    return u_next, p
+    return SpectralField(ws.grid, c), p
 
 
 def em_path(params: RunParams, u0: SpectralField, noise: NoiseModel | None,

@@ -12,6 +12,17 @@ Products of band-limited fields are evaluated pointwise in physical space
 and truncated to the dealias cutoff K. The default K satisfies 3K+1 <= M,
 so every retained coefficient of a quadratic product is the exact
 convolution value (classical 2/3 rule).
+
+Layouts. Every field is stored in the full layout, shape (..., M, M, M)
+in ``fftfreq`` order, which is what ``SpectralField``, the StepViews and
+the snapshots hold. The quadratic products (advection tensor, nonlinear
+term, pressure) work on the retained half-spectrum instead: the
+(2K+1)^2 (K+1) modes with |n_x|, |n_y| <= K and 0 <= n_z <= K, listed by
+``ModeMap`` (``Grid.modes``, cached per (M, K)) as flat indices into the
+full layout and into the ``rfftn`` layout (M, M, M//2+1). ``gather`` takes
+a full-layout array to those modes; ``scatter`` puts retained values back
+and fills each mode n_z < 0 with the conjugate of its partner -n, so a
+real field's spectrum comes back Hermitian and zero outside the cut.
 """
 
 from __future__ import annotations
@@ -40,6 +51,33 @@ def _grid_arrays(m: int, cutoff: int):
     k2 = nx * nx + ny * ny + nz * nz
     mask = (np.abs(nx) <= cutoff) & (np.abs(ny) <= cutoff) & (np.abs(nz) <= cutoff)
     return n, k2, mask
+
+
+@dataclass(frozen=True)
+class ModeMap:
+    """The retained half-spectrum of a grid (see the module docstring)."""
+
+    full: np.ndarray        # (R,) flat indices into the (M, M, M) layout
+    half: np.ndarray        # (R,) flat indices into the rfftn (M, M, M//2+1) layout
+    n: np.ndarray           # (3, R) wavenumbers
+    k2: np.ndarray          # (R,) |n|^2
+    mirror_src: np.ndarray  # retained modes whose partner -n is not retained
+    mirror: np.ndarray      # full-layout flat indices of those partners
+
+
+@lru_cache(maxsize=None)
+def _mode_map(m: int, cutoff: int) -> ModeMap:
+    n1 = np.fft.fftfreq(m, d=1.0 / m).astype(int)
+    keep = np.flatnonzero(np.abs(n1) <= cutoff)
+    ix, iy, iz = (a.ravel() for a in np.meshgrid(keep, keep, np.arange(cutoff + 1),
+                                                  indexing="ij"))
+    full = (ix * m + iy) * m + iz
+    mirror = ((-n1[ix] % m) * m + (-n1[iy] % m)) * m + (-n1[iz] % m)
+    src = np.flatnonzero(~np.isin(mirror, full))
+    n, k2, _ = _grid_arrays(m, cutoff)
+    return ModeMap(full=full, half=(ix * m + iy) * (m // 2 + 1) + iz,
+                   n=n.reshape(3, -1)[:, full], k2=k2.reshape(-1)[full],
+                   mirror_src=src, mirror=mirror[src])
 
 
 @lru_cache(maxsize=None)
@@ -80,6 +118,11 @@ class Grid:
     def dealias_mask(self) -> np.ndarray:
         """Boolean mask of retained modes |n_i| <= dealias_cutoff."""
         return _grid_arrays(self.m, self.dealias_cutoff)[2]
+
+    @property
+    def modes(self) -> ModeMap:
+        """The retained half-spectrum the product kernel works on."""
+        return _mode_map(self.m, self.dealias_cutoff)
 
     def points(self) -> np.ndarray:
         """Physical sample coordinates, shape (3, M, M, M)."""
@@ -276,37 +319,70 @@ def dealias(f: Field) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# products and the nonlinear term
+# products and the nonlinear term, on the retained half-spectrum
+
+
+def gather(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Full-layout coefficients (..., M, M, M) -> their retained modes (..., R)."""
+    return coeffs.reshape(coeffs.shape[:-3] + (-1,))[..., grid.modes.full]
+
+
+def scatter(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Retained-mode values (..., R) of a real field -> its full layout, with
+    the Hermitian partners filled in and every other mode zero."""
+    mm, m = grid.modes, grid.m
+    lead = values.shape[:-1]
+    out = np.zeros(lead + (m**3,), dtype=complex)
+    out[..., mm.full] = values
+    out[..., mm.mirror] = values[..., mm.mirror_src].conj()
+    return out.reshape(lead + (m, m, m))
+
+
+def product_modes(grid: Grid, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dealiased coefficients of v (x) u on the retained modes, shape
+    (3, 3, R), index [i, j] = v_i u_j, from retained-mode u and v (3, R):
+    one irfftn of both, the 9 pointwise products, one rfftn."""
+    mm, m = grid.modes, grid.m
+    h = m // 2 + 1
+    half = np.zeros((6, m * m * h), dtype=complex)
+    half[:3, mm.half] = v
+    half[3:, mm.half] = u
+    phys = sfft.irfftn(half.reshape(6, m, m, h), s=(m, m, m), axes=(-3, -2, -1),
+                       norm="forward")
+    t = phys[:3, None] * phys[None, 3:]
+    t_hat = sfft.rfftn(t, axes=(-3, -2, -1), norm="forward", overwrite_x=True)
+    return t_hat.reshape(3, 3, -1)[..., mm.half]
+
+
+def divergence_and_pressure(grid: Grid, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n.T, p) on the retained modes from a product tensor T (3, 3, R):
+    component j of n.T is sum_i n_i T_ij (so div T = 2 pi i n.T), and
+    p = -(n.T.n)/|n|^2 solves Delta p = -div div T (p = 0 at n = 0)."""
+    mm = grid.modes
+    n = mm.n
+    nt = n[0] * t[0] + n[1] * t[1] + n[2] * t[2]
+    k2 = mm.k2.copy()
+    k2[0] = 1.0  # the mean mode comes first
+    p = -(n[0] * nt[0] + n[1] * nt[1] + n[2] * nt[2]) / k2
+    p[0] = 0.0
+    return nt, p
+
+
+def _field_product(u: SpectralField, v: SpectralField) -> np.ndarray:
+    _require_same_grid(u, v)
+    g = u.grid
+    return product_modes(g, gather(g, u.coeffs), gather(g, v.coeffs))
 
 
 def advection_tensor(u: SpectralField, v: SpectralField) -> np.ndarray:
     """Dealiased coefficients of v (x) u, shape (3, 3, M, M, M), index [i, j] = v_i u_j."""
-    _require_same_grid(u, v)
-    m = u.grid.m
-    up = inverse_transform(u)
-    vp = inverse_transform(v)
-    t = vp[:, None] * up[None, :]
-    t_hat = sfft.fftn(t, axes=(-3, -2, -1)) / m**3
-    return t_hat * u.grid.dealias_mask
+    return scatter(u.grid, _field_product(u, v))
 
 
 def nonlinear_term(u: SpectralField, v: SpectralField) -> SpectralField:
     """div(v (x) u) with the product dealiased: component j is d_i (v_i u_j)."""
-    t_hat = advection_tensor(u, v)
-    n = u.grid.wavenumbers
-    div = TWO_PI * 1j * np.einsum("ixyz,ijxyz->jxyz", n, t_hat)
-    return SpectralField(u.grid, div)
-
-
-def pressure_from_tensor(grid: Grid, t_hat: np.ndarray) -> ScalarField:
-    """p with Delta p = -div div T from tensor coefficients: p_hat = -(n.T n)/|n|^2."""
-    n = grid.wavenumbers
-    k2 = grid.k2.copy()
-    k2[0, 0, 0] = 1.0
-    ntn = np.einsum("ixyz,ijxyz,jxyz->xyz", n, t_hat, n)
-    p = -ntn / k2
-    p[0, 0, 0] = 0.0
-    return ScalarField(grid, p)
+    nt, _ = divergence_and_pressure(u.grid, _field_product(u, v))
+    return SpectralField(u.grid, scatter(u.grid, TWO_PI * 1j * nt))
 
 
 def solve_pressure(u: SpectralField, advecting: SpectralField | None = None) -> ScalarField:
@@ -316,7 +392,8 @@ def solve_pressure(u: SpectralField, advecting: SpectralField | None = None) -> 
     consistent with the Leray-regularized momentum equation.
     """
     v = u if advecting is None else advecting
-    return pressure_from_tensor(u.grid, advection_tensor(u, v))
+    _, p = divergence_and_pressure(u.grid, _field_product(u, v))
+    return ScalarField(u.grid, scatter(u.grid, p))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ off convergence test pins the sign numerically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,8 +239,9 @@ class VorticityLedger(Ledger):
             **self._state_quantities(nxt),
         )
 
-    def min_holder_margin(self) -> float:
-        return min(self.holder_margin[1:], default=math.inf)
+    def min_holder_margin(self) -> float | None:
+        """The smallest Hoelder margin over the steps; None without a step."""
+        return min(self.holder_margin[1:], default=None)
 
     def payload(self) -> dict:
         """The path-record entry: the series and bounds the summary needs."""
@@ -265,8 +265,8 @@ class VorticityBoundsReport:
     stderr_sup_l1: float
     mean_grad_norm: float
     stderr_grad_norm: float
-    min_holder_margin: float
-    holder_ok: bool
+    min_holder_margin: float | None  # None: no path took a step
+    holder_ok: bool | None           # None: nothing compared
     norm_chain_ok: bool
 
 
@@ -284,7 +284,8 @@ def vorticity_bounds_report(payloads: list[dict]) -> VorticityBoundsReport:
         raise ConfigurationError(f"mixed-epsilon ensemble rejected: {sorted(eps)}")
     mean_l1, stderr_l1 = mean_stderr([p["sup_l1"] for p in payloads])
     mean_gn, stderr_gn = mean_stderr([p["grad_norm"] for p in payloads])
-    minm = float(min(p["min_holder_margin"] for p in payloads))
+    margins = [p["min_holder_margin"] for p in payloads if p["min_holder_margin"] is not None]
+    minm = float(min(margins)) if margins else None
     return VorticityBoundsReport(
         paths=len(payloads),
         mean_sup_l1=mean_l1,
@@ -292,7 +293,7 @@ def vorticity_bounds_report(payloads: list[dict]) -> VorticityBoundsReport:
         mean_grad_norm=mean_gn,
         stderr_grad_norm=stderr_gn,
         min_holder_margin=minm,
-        holder_ok=minm >= -1e-12,
+        holder_ok=None if minm is None else minm >= -1e-12,
         norm_chain_ok=all(p["norm_chain_ok"] for p in payloads),
     )
 

@@ -128,6 +128,29 @@ def test_config_validation_errors(tmp_path):
         ExperimentConfig.parse(doc)
 
 
+def test_unknown_config_keys_fail_at_parse_time(tmp_path):
+    # a misspelt key names its block and fails instead of running on a default
+    doc = base_config(tmp_path)
+    doc["diagnostics"]["vorticity"] = {"dleta": 0.1}
+    with pytest.raises(ConfigurationError, match=r"diagnostics\.vorticity: unknown key 'dleta'"):
+        ExperimentConfig.parse(doc)
+    doc = base_config(tmp_path)
+    doc["diagnostics"]["test_functions"][0]["temporal"]["rmap"] = 0.01
+    with pytest.raises(ConfigurationError, match=r"test_functions\[0\]\.temporal: unknown key"):
+        ExperimentConfig.parse(doc)
+    doc = base_config(tmp_path)
+    doc["ensemble"]["worker"] = 2
+    with pytest.raises(ConfigurationError, match="ensemble: unknown key 'worker'"):
+        ExperimentConfig.parse(doc)
+    doc = base_config(tmp_path, outputs={})
+    with pytest.raises(ConfigurationError, match="config: unknown key 'outputs'"):
+        ExperimentConfig.parse(doc)
+    # the retired dissipation.quadrature key still parses (and is ignored)
+    doc = base_config(tmp_path)
+    doc["diagnostics"]["dissipation"] = {"ell_values": [0.25], "quadrature": 16}
+    ExperimentConfig.parse(doc)
+
+
 def test_run_experiment_deterministic_and_resumable(tmp_path):
     cfg = ExperimentConfig.parse(base_config(tmp_path))
     s1 = run_experiment(cfg)
@@ -185,6 +208,27 @@ def test_t_zero_initial_state_only(tmp_path):
     cfg = ExperimentConfig.parse(doc)
     rec = run_one_path(cfg, 0)
     assert not rec["blown_up"]
+
+
+def test_stepless_vorticity_ledger_gives_degenerate_holder_verdict(tmp_path):
+    # with t_end = 0 no Hoelder margin exists: the verdict is degenerate, not a
+    # pass, and the margin is written as null, never as Infinity
+    doc = base_config(tmp_path)
+    doc["run"]["t_end"] = 0.0
+    doc["diagnostics"] = {"vorticity": {"delta": 0.5}}
+    summary = run_experiment(ExperimentConfig.parse(doc))
+    block = summary["tests"]["vorticity"]
+    assert block["min_holder_margin"] is None
+    assert block["holder_pass"] is False
+    verdict = {v["test"]: v for v in summary["verdicts"]}["vorticity/holder"]
+    assert verdict["status"] == "degenerate"
+    assert verdict["reason"].startswith("no step")
+    out = tmp_path / "out"
+    texts = [(out / "summary.json").read_text()]
+    texts += [p.read_text() for p in sorted((out / "paths").glob("path_*.json"))]
+    assert len(texts) == 4
+    assert all("Infinity" not in t for t in texts)
+    assert all(json.loads(t)["vorticity"]["min_holder_margin"] is None for t in texts[1:])
 
 
 def test_replay_reproduces_inline_csvs(tmp_path):

@@ -7,13 +7,15 @@ from lsns.integrate import (
     RunParams,
     Trajectory,
     Workspace,
+    drift_and_pressure,
     fractional_sobolev_norm,
     initial_condition,
     integrate,
     noise_term_path,
 )
-from lsns.mollifier import radial_multiplier
+from lsns.mollifier import mollify, radial_multiplier
 from lsns.noise import make_noise_model
+from lsns.oracles import convolution_oracle
 from lsns.rng import BrownianIncrements
 from lsns.spectral import (
     Grid,
@@ -288,3 +290,34 @@ def test_noise_term_ensemble_zero_mean_on_probe_modes():
             stderr = part.std(ddof=1) / np.sqrt(len(part))
             if stderr > 0:
                 assert abs(part.mean()) <= 4 * stderr, pr
+
+
+def test_drift_and_pressure_match_convolution_oracle():
+    # the drift the EM step runs, against brute-force convolutions of
+    # v = psi_eps * u with u: drift = -2 pi i (n.T + n p), p = -(n.T.n)/|n|^2
+    g = G8
+    u = random_solenoidal(g, seed=81)
+    ws = Workspace(params(), None)
+    v = mollify(u, ws.mol)
+    t = np.array([[convolution_oracle(v.coeffs[i], u.coeffs[j], g.dealias_cutoff)
+                   for j in range(3)] for i in range(3)])
+    n = g.wavenumbers
+    k2 = g.k2.copy()
+    k2[0, 0, 0] = 1.0
+    nt = np.einsum("ixyz,ijxyz->jxyz", n, t)
+    p_want = -np.einsum("jxyz,jxyz->xyz", nt, n) / k2
+    p_want[0, 0, 0] = 0.0
+    drift_want = -2j * np.pi * (nt + n * p_want)
+
+    assert np.max(np.abs(drift_want)) > 0.0
+    drift, p = drift_and_pressure(u, ws)
+    assert np.max(np.abs(drift - drift_want)) <= 1e-12 * np.max(np.abs(drift_want))
+    assert np.max(np.abs(p.coeffs - p_want)) <= 1e-12 * np.max(np.abs(p_want))
+    # Hermitian: both are spectra of real fields
+    m3 = g.m ** 3
+    for c in (drift, p.coeffs):
+        phys = np.fft.ifftn(c * m3, axes=(-3, -2, -1))
+        assert np.max(np.abs(phys.imag)) <= 1e-14 * np.max(np.abs(phys.real))
+    # nothing outside the dealias cut
+    assert not drift[:, ~g.dealias_mask].any()
+    assert not p.coeffs[~g.dealias_mask].any()
