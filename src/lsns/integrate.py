@@ -48,6 +48,7 @@ from .spectral import (
     curl,
     divergence_and_pressure,
     gather,
+    l2_norm,
     leray_project,
     product_modes,
     scatter,
@@ -220,9 +221,11 @@ def step(u: SpectralField, j: int, params: RunParams, noise: NoiseModel | None,
         c += ws.noise_increment(u, db)
     if params.scheme == "em_semi_implicit":
         c *= ws.heat
-    if not np.vdot(c, c).real <= params.energy_cap**2:  # also true for inf and nan
+    u_next = SpectralField(ws.grid, c)
+    # not np.vdot: a BLAS call, whose threads contend with the ensemble's workers
+    if not l2_norm(u_next) <= params.energy_cap:  # also true for inf and nan
         raise BlowUpError(j)
-    return SpectralField(ws.grid, c), p
+    return u_next, p
 
 
 def em_path(params: RunParams, u0: SpectralField, noise: NoiseModel | None,
