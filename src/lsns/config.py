@@ -20,7 +20,7 @@ from .errors import ConfigurationError
 from .integrate import RunParams
 from .noise import KINDS as NOISE_KINDS
 from .noise import NoiseModel, make_noise_model
-from .spectral import Grid, random_solenoidal, taylor_green
+from .spectral import Grid, SpectralField, random_solenoidal, taylor_green
 from .testfunc import SpatialBump, TemporalWindow, TestFunction
 from .vorticity import HFunction, VorticityLedger
 
@@ -112,6 +112,7 @@ class ExperimentConfig:
         # eager validation of every cross-referenced object
         cfg.run_params(path_id=0)
         cfg.noise_model()
+        initial_field(cfg)
         cfg.events()
         cfg.ledgers()
         cfg.xi_functionals()
@@ -325,6 +326,9 @@ def initial_field(cfg: ExperimentConfig):
     if kind == "snapshot":
         from .persist import read_snapshot
 
-        fld, _ = read_snapshot(spec["path"], grid)
+        fld, _ = read_snapshot(_need(spec, "path", str, "run.initial_condition"), grid)
+        if not isinstance(fld, SpectralField):
+            raise ConfigurationError(
+                f"run.initial_condition.path: {spec['path']} holds a scalar field, not a velocity")
         return fld
     raise ConfigurationError(f"run.initial_condition.kind: unknown kind {kind!r}")

@@ -75,7 +75,7 @@ class EnergyLedger(Ledger):
         self.phi = phi
         self._initial_energy = 0.0
         self._s = None  # spatial arrays cached on first view
-        self._fixed_means: dict = {}  # additive-noise means, see _noise_sq_means
+        self._fixed_means: dict = {}  # state-free noise means, see _noise_sq_means
 
     @property
     def key(self) -> str:
@@ -147,12 +147,12 @@ class EnergyLedger(Ledger):
         return incs
 
     def _noise_sq_means(self, view: StepView, tag: str, p: int, s) -> list[float]:
-        """Per-field means of |g_k|^2 s on the P grid; additive noise fields
+        """Per-field means of |g_k|^2 s on the P grid; state-free noise fields
         are the same at every step, so their means are computed once."""
         if (tag, p) in self._fixed_means:
             return self._fixed_means[tag, p]
         means = [_MEAN(np.sum(g * g, axis=0) * s) for g in view.noise_phys(tag, p)]
-        if view.ws.additive_projected is not None:
+        if view.ws.noise.state_free:
             self._fixed_means[tag, p] = means
         return means
 

@@ -69,7 +69,6 @@ def run_one_path(cfg: ExperimentConfig, path_id: int) -> dict:
 
     record["blown_up"] = False
     if out["save_snapshots"]:
-        traj.fill_pressures()
         save_trajectory(traj, Path(out["directory"]) / f"trajectory_{path_id:06d}",
                         run_config=cfg.raw)
     elif not ledgers:

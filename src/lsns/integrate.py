@@ -15,17 +15,18 @@ evaluated at the left endpoint. Incompressibility is enforced exactly by
 the projection; the associated gradient pressure (from the mollified
 advection tensor) is returned as a diagnostic.
 
-The drift and pressure are computed on the retained half-spectrum
-(``spectral.product_modes``: the (2K+1)^2 (K+1) modes inside the cut with
-n_z >= 0) and scattered back to the full (3, M, M, M) layout the state
-keeps, as is the additive noise increment.
+The drift, the pressure and the noise increment are computed on the
+retained half-spectrum (``spectral.product_modes``: the (2K+1)^2 (K+1)
+modes inside the cut with n_z >= 0) and scattered back to the full
+(3, M, M, M) layout the state keeps. Every noise family takes one path:
+psi_eps * sigma_k(u) is gathered onto those modes, projected and summed
+there; fields of ``state_free`` noise are built once per path.
 
 ``em_path`` is the one Euler-Maruyama loop of the package: ``integrate``
-folds its stream into a stored ``Trajectory``, the StepView stream of the
-diagnostic ledgers wraps it (``stepview.iter_views``), and
-``ensemble.run_one_path`` consumes it directly. A ``Workspace`` holds everything a path
-reuses across steps, including the state-independent additive-noise
-syntheses the ledgers read.
+folds its stream into a ``Trajectory`` of stored states, the StepView
+stream of the diagnostic ledgers wraps it (``stepview.iter_views``), and
+``ensemble.run_one_path`` consumes it directly. A ``Workspace`` holds
+everything a path reuses across steps.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ from .spectral import (
     l2_norm,
     leray_project,
     product_modes,
+    project_modes,
     scatter,
-    synthesize,
 )
 
 SCHEMES = ("em_explicit", "em_semi_implicit")
@@ -125,23 +126,27 @@ class Workspace:
         self.grid = g
         self.mol = make_mollifier(g, params.epsilon, params.mollifier_kind)
         self.mol_modes = gather(g, self.mol.multiplier)
-        self.mask = g.dealias_mask
         self.heat = np.exp(-4.0 * np.pi**2 * params.nu * g.k2 * params.dt)
         self.n_noise = 0
-        self.additive_projected: list[np.ndarray] | None = None
-        self._additive_phys: dict = {}
+        self._fixed: dict = {}  # fields of state-free noise, built once per path
         if noise is not None:
             self.n_noise = min(params.truncation.n, noise.max_k)
             if params.truncation.n > noise.max_k:
                 raise ConfigurationError(
                     f"N(eps)={params.truncation.n} exceeds the noise model's max_k={noise.max_k}"
                 )
-            if noise.kind == "additive":
-                self.additive_projected = [
-                    leray_project(mollify(f, self.mol)).coeffs * self.mask
-                    for f in noise.vector_fields[: self.n_noise]
-                ]
-                self._additive_modes = [gather(g, c) for c in self.additive_projected]
+
+    def noise_cache(self, state_cache: dict) -> dict:
+        """Where the noise fields of a state are cached: here, once per path,
+        when sigma_k does not depend on the state; else in ``state_cache``."""
+        return self._fixed if self.noise.state_free else state_cache
+
+    def _noise_modes(self, tag: str, raw: list) -> list[np.ndarray]:
+        """``injected`` or ``projected`` fields of ``raw`` on the retained modes."""
+        injected = [gather(self.grid, f.coeffs) * self.mol_modes for f in raw]
+        if tag == "injected":
+            return injected
+        return [project_modes(self.grid, c) for c in injected]
 
     def noise_spectra(self, tag: str, raw: list) -> list:
         """Noise fields from ``raw`` = [sigma_k(u)]: ``raw`` itself, ``injected``
@@ -149,39 +154,21 @@ class Workspace:
         what the dynamics adds) or ``curl`` (curl of the injected field)."""
         if tag == "raw":
             return raw
-        if tag == "projected" and self.additive_projected is not None:
-            return [SpectralField(self.grid, c) for c in self.additive_projected]
-        injected = [SpectralField(self.grid, mollify(f, self.mol).coeffs * self.mask) for f in raw]
-        if tag == "injected":
-            return injected
-        if tag == "projected":
-            return [leray_project(g) for g in injected]
         if tag == "curl":
-            return [curl(g) for g in injected]
-        raise ConfigurationError(f"unknown noise field {tag!r}")
-
-    def additive_phys(self, tag: str, p: int) -> list[np.ndarray]:
-        """Additive-noise fields (see ``noise_spectra``) on the P grid; they do
-        not depend on the state, so each is synthesized once per path."""
-        key = (tag, p)
-        if key not in self._additive_phys:
-            raw = list(self.noise.vector_fields[: self.n_noise])
-            self._additive_phys[key] = [synthesize(g, p)
-                                        for g in self.noise_spectra(tag, raw)]
-        return self._additive_phys[key]
+            return [curl(g) for g in self.noise_spectra("injected", raw)]
+        if tag not in ("injected", "projected"):
+            raise ConfigurationError(f"unknown noise field {tag!r}")
+        return [SpectralField(self.grid, scatter(self.grid, c))
+                for c in self._noise_modes(tag, raw)]
 
     def noise_increment(self, u: SpectralField, db: np.ndarray) -> np.ndarray:
-        """Projected noise increment coefficients: P[sum_k g_k dB_k]."""
-        if self.additive_projected is not None:  # summed on the retained modes
-            acc = np.zeros((3, self.grid.modes.full.size), dtype=complex)
-            for g, b in zip(self._additive_modes, db):
-                acc += g * b
-            return scatter(self.grid, acc)
-        acc = np.zeros_like(u.coeffs)
-        raw = self.noise.eval_all(self.n_noise, u)
-        for g, b in zip(self.noise_spectra("injected", raw), db):
-            acc += g.coeffs * b
-        return leray_project(SpectralField(self.grid, acc)).coeffs
+        """Projected noise increment coefficients P[sum_k g_k dB_k], summed
+        on the retained modes."""
+        cache = self.noise_cache({})
+        if "increment" not in cache:
+            cache["increment"] = self._noise_modes(
+                "projected", self.noise.eval_all(self.n_noise, u))
+        return scatter(self.grid, sum(g * b for g, b in zip(cache["increment"], db)))
 
 
 def initial_condition(u0: SpectralField, epsilon: float,
@@ -249,12 +236,11 @@ def em_path(params: RunParams, u0: SpectralField, noise: NoiseModel | None,
 
 @dataclass
 class Trajectory:
-    """States (and pressure diagnostics) of one sample path, stored per stride."""
+    """States of one sample path, stored per stride (and the last)."""
 
     params: RunParams
     noise: NoiseModel | None
     states: list[SpectralField] = field(default_factory=list)
-    pressures: list[ScalarField | None] = field(default_factory=list)
     stored_steps: list[int] = field(default_factory=list)
 
     @property
@@ -271,21 +257,12 @@ class Trajectory:
 
     def recording(self, stream):
         """Pass an ``em_path`` stream through, storing every stride-th state
-        (and the last) with its pressure."""
+        (and the last)."""
         for j, u, p_prev in stream:
-            if self.stored_steps and self.stored_steps[-1] == j - 1:
-                self.pressures[-1] = p_prev  # left-endpoint diagnostic of the stored state
             if j % self.params.stride == 0 or j == self.params.n_steps:
                 self.states.append(u)
-                self.pressures.append(None)
                 self.stored_steps.append(j)
             yield j, u, p_prev
-
-    def fill_pressures(self):
-        """Compute the pressures no step produced (the last stored state's)."""
-        for idx, p in enumerate(self.pressures):
-            if p is None:
-                self.pressures[idx] = drift_and_pressure(self.states[idx], self.workspace)[1]
 
 
 def integrate(params: RunParams, u0: SpectralField,
@@ -299,9 +276,7 @@ def integrate(params: RunParams, u0: SpectralField,
         for _ in traj.recording(em_path(params, u0, noise, traj.workspace)):
             pass
     except BlowUpError as err:
-        traj.fill_pressures()
         raise BlowUpError(err.step, partial=traj) from None
-    traj.fill_pressures()
     return traj
 
 

@@ -174,6 +174,11 @@ class NoiseModel:
 
     # -- evaluation ----------------------------------------------------------
 
+    @property
+    def state_free(self) -> bool:
+        """Whether sigma_k(u) is the same field for every u (additive noise)."""
+        return self.kind == "additive"
+
     def eval(self, k: int, u: SpectralField) -> SpectralField:
         """sigma_k(u) as a spectral field; k is 1-based; result not solenoidal
         in general. Pointwise nonlinearities are sampled on the native grid."""
@@ -188,7 +193,7 @@ class NoiseModel:
         return self._evaluate(range(1, n + 1), u)
 
     def _evaluate(self, ks, u: SpectralField) -> list[SpectralField]:
-        if self.kind == "additive":
+        if self.state_free:
             return [self.vector_fields[k - 1] for k in ks]
         u_phys = inverse_transform(u)
         if self.kind == "linear_multiplicative":

@@ -10,9 +10,11 @@ Snapshot layout (little-endian, bit-exact across platforms):
     data    complex128 coefficient array, row-major (C order), numpy fftn
             frequency ordering
 
-A trajectory directory holds one state (and one pressure) snapshot per
-stored step plus ``manifest.json`` with the run parameters, stride, step
-count and per-file SHA-256 checksums.
+A trajectory directory holds one state snapshot per stored step plus
+``manifest.json`` with the run parameters, stride, step count and per-file
+SHA-256 checksums. A stored state's pressure is not written: replay
+computes it from the state. Pressure snapshots that older directories
+carry are ignored.
 """
 
 from __future__ import annotations
@@ -43,13 +45,19 @@ def write_snapshot(path, field, time: float):
 
 
 def read_snapshot(path, grid: Grid | None = None):
-    blob = Path(path).read_bytes()
-    magic, version, m, kind, time = _HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as err:
+        raise ConfigurationError(f"{path}: cannot read snapshot ({err.strerror})") from None
+    if len(blob) < _HEADER.size or blob[:4] != MAGIC:
         raise ConfigurationError(f"{path}: not an LSNS snapshot")
+    _, version, m, kind, time = _HEADER.unpack_from(blob, 0)
     if version != VERSION:
         raise ConfigurationError(f"{path}: unsupported snapshot version {version}")
     shape = (3, m, m, m) if kind == 0 else (m, m, m)
+    if len(blob) != _HEADER.size + 16 * int(np.prod(shape)):
+        raise ConfigurationError(
+            f"{path}: {len(blob) - _HEADER.size} data bytes, header says {shape} complex128")
     data = np.frombuffer(blob, dtype="<c16", offset=_HEADER.size).reshape(shape).copy()
     g = grid if grid is not None else Grid(m)
     if g.m != m:
@@ -65,19 +73,15 @@ def _sha256(path) -> str:
 
 
 def save_trajectory(traj: Trajectory, directory, run_config: dict | None = None):
-    """Persist states, pressures and a manifest; returns the manifest path."""
+    """Persist the states and a manifest; returns the manifest path."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     p = traj.params
     files = {}
-    for j, (u, pr) in enumerate(zip(traj.states, traj.pressures)):
-        step = traj.stored_steps[j]
-        t = step * p.dt
-        sname, pname = f"state_{step:06d}.lsns", f"pressure_{step:06d}.lsns"
-        write_snapshot(d / sname, u, t)
-        write_snapshot(d / pname, pr, t)
-        files[sname] = _sha256(d / sname)
-        files[pname] = _sha256(d / pname)
+    for step, u in zip(traj.stored_steps, traj.states):
+        name = f"state_{step:06d}.lsns"
+        write_snapshot(d / name, u, step * p.dt)
+        files[name] = _sha256(d / name)
     manifest = {
         "format_version": VERSION,
         "params": {
@@ -106,18 +110,13 @@ def load_trajectory(directory, noise=None, verify: bool = True) -> Trajectory:
         grid=grid, seed=pm["seed"], path_id=pm["path_id"], scheme=pm["scheme"],
         mollifier_kind=pm["mollifier_kind"], stride=pm["stride"],
     )
-    states, pressures = [], []
+    states = []
     for step in manifest["stored_steps"]:
-        sname, pname = f"state_{step:06d}.lsns", f"pressure_{step:06d}.lsns"
-        if verify:
-            for name in (sname, pname):
-                if _sha256(d / name) != manifest["checksums"][name]:
-                    raise ConfigurationError(f"{name}: checksum mismatch")
-        u, _ = read_snapshot(d / sname, grid)
-        pr, _ = read_snapshot(d / pname, grid)
-        states.append(u)
-        pressures.append(pr)
-    return Trajectory(params, noise, states, pressures, list(manifest["stored_steps"]))
+        name = f"state_{step:06d}.lsns"
+        states.append(read_snapshot(d / name, grid)[0])  # a missing file is a ConfigurationError
+        if verify and _sha256(d / name) != manifest["checksums"][name]:
+            raise ConfigurationError(f"{name}: checksum mismatch")
+    return Trajectory(params, noise, states, list(manifest["stored_steps"]))
 
 
 def write_csv(path, columns, rows):

@@ -271,15 +271,22 @@ def leray_project(u: SpectralField) -> SpectralField:
     Corrections below machine noise are skipped, which makes the projection
     exactly idempotent and leaves already-solenoidal fields bit-identical.
     """
-    n = u.grid.wavenumbers
-    k2 = u.grid.k2.copy()
-    k2[0, 0, 0] = 1.0
-    ndotu = np.einsum("ixyz,ixyz->xyz", n, u.coeffs)
-    noise = 32 * np.finfo(float).eps * np.sqrt(k2) * np.sqrt(
-        np.sum(np.abs(u.coeffs) ** 2, axis=0)
-    )
+    return SpectralField(u.grid, _project(u.grid.wavenumbers, u.grid.k2, u.coeffs))
+
+
+def project_modes(grid: Grid, c: np.ndarray) -> np.ndarray:
+    """``leray_project`` of retained-mode values (3, R): the same kernel, so
+    each mode gets the same bits in either layout."""
+    return _project(grid.modes.n, grid.modes.k2, c)
+
+
+def _project(n: np.ndarray, k2: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The Leray kernel on any layout: wavenumbers n (3, ...), |n|^2 (...)."""
+    k2 = np.maximum(k2, 1.0)  # |n|^2 >= 1 off the mean mode, where n.c = 0
+    ndotu = np.einsum("i...,i...->...", n, c)
+    noise = 32 * np.finfo(float).eps * np.sqrt(k2) * np.sqrt(np.sum(np.abs(c) ** 2, axis=0))
     ndotu = np.where(np.abs(ndotu) > noise, ndotu, 0.0)
-    return SpectralField(u.grid, u.coeffs - n * (ndotu / k2))
+    return c - n * (ndotu / k2)
 
 
 def divergence(u: SpectralField) -> ScalarField:

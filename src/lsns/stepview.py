@@ -9,11 +9,12 @@ integrand is exactly resolved, and for ``pad`` where no finite grid is.
 Every synthesis goes through ``spectral.synthesize``.
 
 Views come from the one Euler-Maruyama loop (``integrate.em_path``) via
-``views_of`` while integrating (``iter_views``), or from a stored stride-1
-trajectory (``views_from_trajectory``); both construct the same values, so
-replayed diagnostics reproduce inline ones bit-exactly. ``drive`` is the one
-driver: it feeds a view stream to ledgers, ``begin(v0)`` then
-``advance(v_j, v_j+1)`` per step.
+``views_of`` while integrating (``iter_views``), handed their pressure by
+the step, or from the states of a stored stride-1 trajectory
+(``views_from_trajectory``), which compute it with the step's function;
+both give the same values, so replayed diagnostics reproduce inline ones
+bit-exactly. ``drive`` is the one driver: it feeds a view stream to
+ledgers, ``begin(v0)`` then ``advance(v_j, v_j+1)`` per step.
 
 Every ledger is a ``Ledger``: a table of per-row series declared once, in CSV
 order (``SERIES``), from which its rows, path-record payload, restore from a
@@ -54,14 +55,13 @@ PAD_FACTOR = 2
 class StepView:
     """One state of one path plus lazily cached physical-space syntheses."""
 
-    def __init__(self, ws: Workspace, u: SpectralField, index: int,
-                 pressure: ScalarField | None):
+    def __init__(self, ws: Workspace, u: SpectralField, index: int):
         self.ws = ws
         self.grid = ws.grid
         self.u = u
         self.index = index
         self.t = index * ws.params.dt
-        self._pressure = pressure
+        self._pressure = None  # set by ``views_of`` from the step, else computed on demand
         self.pad = PAD_FACTOR * ws.grid.m
         self._cache: dict = {}
 
@@ -136,17 +136,16 @@ class StepView:
     # -- noise fields at the left endpoint ------------------------------------
 
     def noise_phys(self, tag: str, p: int) -> list[np.ndarray]:
-        """The noise fields ``tag`` (see ``Workspace.noise_spectra``) on the P grid."""
+        """The noise fields ``tag`` (see ``Workspace.noise_spectra``) on the
+        P grid, synthesized once per path when the noise is state-free."""
         ws = self.ws
         if ws.noise is None:
             return []
-        if ws.additive_projected is not None:
-            return ws.additive_phys(tag, p)
-        raw = self._get("noise_raw", lambda: ws.noise.eval_all(ws.n_noise, self.u))
-        return self._get(
-            ("noise", tag, p),
-            lambda: [synthesize(g, p) for g in ws.noise_spectra(tag, raw)],
-        )
+        cache = ws.noise_cache(self._cache)
+        if ("noise", tag, p) not in cache:
+            raw = self._get("noise_raw", lambda: ws.noise.eval_all(ws.n_noise, self.u))
+            cache["noise", tag, p] = [synthesize(g, p) for g in ws.noise_spectra(tag, raw)]
+        return cache["noise", tag, p]
 
 
 def views_of(stream, ws: Workspace):
@@ -156,7 +155,7 @@ def views_of(stream, ws: Workspace):
     for j, u, p_prev in stream:
         if prev is not None:
             prev._pressure = p_prev
-        prev = StepView(ws, u, j, pressure=None)
+        prev = StepView(ws, u, j)
         yield prev
 
 
@@ -167,10 +166,11 @@ def iter_views(params: RunParams, u0: SpectralField, noise: NoiseModel | None):
 
 
 def views_from_trajectory(traj: Trajectory):
-    """Replay StepViews from stored states; identical to inline views."""
+    """Replay StepViews from stored states; each computes its pressure from
+    its state, as the step did, so they are identical to inline views."""
     traj.require_stride_one("ledger replay")
-    for j, (u, p) in enumerate(zip(traj.states, traj.pressures)):
-        yield StepView(traj.workspace, u, j, pressure=p)
+    for j, u in enumerate(traj.states):
+        yield StepView(traj.workspace, u, j)
 
 
 def drive(views, consumers: list):

@@ -170,8 +170,9 @@ def test_frozen_drift_exact_ito_oracle():
     ws = Workspace(p, noise)
     pr = 2 * G8.m
     s = phi.spatial_values(pr)
-    g_phys = ws.additive_phys("projected", pr)
-    g_unproj = ws.additive_phys("injected", pr)
+    raw = noise.eval_all(ws.n_noise, u0)
+    g_phys = [synthesize(g, pr) for g in ws.noise_spectra("projected", raw)]
+    g_unproj = [synthesize(g, pr) for g in ws.noise_spectra("injected", raw)]
     ito = 0.0
     for j in range(p.n_steps):
         u_phys = synthesize(traj.states[j], pr)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from lsns.persist import (
     write_snapshot,
 )
 from lsns.spectral import Grid, ScalarField
+from lsns.stepview import views_from_trajectory
 from lsns.vorticity import vorticity_bounds_report
 
 from helpers import random_solenoidal, taylor_green
@@ -73,6 +75,10 @@ def test_snapshot_round_trip_bit_exact(tmp_path):
     bad.write_bytes(b"NOPE" + blob[4:])
     with pytest.raises(ConfigurationError):
         read_snapshot(bad)
+    short = tmp_path / "short.lsns"
+    short.write_bytes(blob[:-16])
+    with pytest.raises(ConfigurationError, match="short.lsns"):
+        read_snapshot(short)
 
 
 def test_trajectory_save_load_checksums(tmp_path):
@@ -91,6 +97,9 @@ def test_trajectory_save_load_checksums(tmp_path):
     blob[-1] ^= 0xFF
     victim.write_bytes(bytes(blob))
     with pytest.raises(ConfigurationError):
+        load_trajectory(d, noise)
+    victim.unlink()
+    with pytest.raises(ConfigurationError, match=victim.name):
         load_trajectory(d, noise)
 
 
@@ -232,17 +241,39 @@ def test_stepless_vorticity_ledger_gives_degenerate_holder_verdict(tmp_path):
 
 
 def test_replay_reproduces_inline_csvs(tmp_path):
-    doc = base_config(tmp_path)
+    for kind in ("additive", "linear_multiplicative"):
+        _check_replay_reproduces_inline_csvs(tmp_path / kind, kind)
+
+
+def _check_replay_reproduces_inline_csvs(root, kind):
+    doc = base_config(root)
+    doc["noise"]["kind"] = kind
     doc["output"]["save_snapshots"] = True
     doc["ensemble"]["paths"] = 1
     cfg = ExperimentConfig.parse(doc)
     run_experiment(cfg)
     out = Path(doc["output"]["directory"])
     inline_csv = out / "paths" / "energy_bump_000000.csv"
-    manifest = out / "trajectory_000000" / "manifest.json"
-    written = replay(manifest, doc["diagnostics"], output_dir=tmp_path / "replayed")
-    replay_csv = Path(written["energy:bump"])
-    assert inline_csv.read_bytes() == replay_csv.read_bytes()
+    traj_dir = out / "trajectory_000000"
+    manifest = traj_dir / "manifest.json"
+    # a trajectory is its state snapshots: no pressure is written
+    assert sorted(p.name for p in traj_dir.iterdir()) == [
+        "manifest.json", "state_000000.lsns", "state_000001.lsns", "state_000002.lsns"]
+    written = replay(manifest, doc["diagnostics"], output_dir=root / "replayed")
+    assert set(written) == {"energy:bump", "vorticity:default"}
+    for path in map(Path, written.values()):
+        assert (out / "paths" / path.name).read_bytes() == path.read_bytes()
+
+    # the old layout, with a checksummed pressure snapshot per state, still replays
+    traj = load_trajectory(traj_dir, cfg.noise_model())
+    meta = json.loads(manifest.read_text())
+    for step, view in zip(traj.stored_steps, views_from_trajectory(traj)):
+        name = f"pressure_{step:06d}.lsns"
+        write_snapshot(traj_dir / name, view.pressure, view.t)
+        meta["checksums"][name] = hashlib.sha256((traj_dir / name).read_bytes()).hexdigest()
+    manifest.write_text(json.dumps(meta))
+    written = replay(manifest, doc["diagnostics"], output_dir=root / "replayed_old")
+    assert inline_csv.read_bytes() == Path(written["energy:bump"]).read_bytes()
 
     # replay with a new test function produces a new ledger, old untouched
     before = inline_csv.read_bytes()
@@ -251,9 +282,29 @@ def test_replay_reproduces_inline_csvs(tmp_path):
         {"name": "wide", "spatial": {"exponent": 1},
          "temporal": {"a": 0.03125, "b": 0.09375, "ramp": 0.015625}}
     )
-    written2 = replay(manifest, new_diag, output_dir=tmp_path / "replayed2")
+    written2 = replay(manifest, new_diag, output_dir=root / "replayed2")
     assert "energy:wide" in written2
     assert inline_csv.read_bytes() == before
+
+
+def test_bad_initial_condition_fails_at_parse_time(tmp_path):
+    write_snapshot(tmp_path / "scalar.lsns", ScalarField(G8, np.zeros((8, 8, 8), complex)), 0.0)
+    specs = [
+        ({"kind": "vortex_ring"}, "unknown kind"),
+        ({"kind": "snapshot"}, "path: missing"),
+        ({"kind": "snapshot", "path": str(tmp_path / "missing.lsns")}, "missing.lsns"),
+        ({"kind": "snapshot", "path": str(tmp_path / "scalar.lsns")}, "scalar field"),
+    ]
+    for i, (spec, message) in enumerate(specs):
+        doc = base_config(tmp_path)
+        doc["run"]["initial_condition"] = spec
+        with pytest.raises(ConfigurationError, match=message):
+            ExperimentConfig.parse(doc)
+        path = tmp_path / f"bad_{i}.json"
+        path.write_text(json.dumps(doc))
+        res = CliRunner().invoke(cli_main, ["run", str(path)])
+        assert res.exit_code == 2, res.output
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

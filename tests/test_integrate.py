@@ -23,7 +23,9 @@ from lsns.spectral import (
     divergence_residual,
     forward_transform,
     l2_norm,
+    leray_project,
 )
+from lsns.stepview import views_from_trajectory
 
 from helpers import random_solenoidal, taylor_green
 
@@ -116,11 +118,12 @@ def test_additive_increment_summation_oracle():
     traj = integrate(p, u0, noise)
     ws = Workspace(p, noise)
     n = p.truncation.n
+    projected = ws.noise_spectra("projected", noise.eval_all(ws.n_noise, u0))
     total = np.zeros_like(u0.coeffs)
     for j in range(p.n_steps):
         db = traj.incs.step_increments(j, n)
-        for g, b in zip(ws.additive_projected, db):
-            total += g * b
+        for g, b in zip(projected, db):
+            total += g.coeffs * b
     diff = traj.states[-1].coeffs - traj.states[0].coeffs
     assert np.max(np.abs(diff - total)) <= 1e-12 * max(np.max(np.abs(total)), 1e-30)
 
@@ -129,7 +132,7 @@ def test_t_zero_trajectory():
     p = params(t_end=0.0)
     traj = integrate(p, random_solenoidal(G8, seed=11), noise=None)
     assert len(traj.states) == 1 and traj.stored_steps == [0]
-    assert traj.pressures[0] is not None
+    assert next(views_from_trajectory(traj)).pressure is not None
 
 
 def test_determinism_bit_identical():
@@ -140,8 +143,8 @@ def test_determinism_bit_identical():
     t2 = integrate(p, u0, noise)
     for a, b in zip(t1.states, t2.states):
         assert np.array_equal(a.coeffs, b.coeffs)
-    for a, b in zip(t1.pressures, t2.pressures):
-        assert np.array_equal(a.coeffs, b.coeffs)
+    for a, b in zip(views_from_trajectory(t1), views_from_trajectory(t2)):
+        assert np.array_equal(a.pressure.coeffs, b.pressure.coeffs)
 
 
 def test_divergence_free_every_step_all_families():
@@ -185,7 +188,7 @@ def test_blowup_carries_step_and_partial():
     err = exc.value
     assert isinstance(err.partial, Trajectory)
     assert err.step >= 0
-    assert all(p_ is not None for p_ in err.partial.pressures)
+    assert all(v.pressure is not None for v in views_from_trajectory(err.partial))
 
 
 def test_noise_term_path_zero_noise_and_start():
@@ -213,11 +216,12 @@ def test_noise_term_path_matches_increments_exactly_for_linear_hook():
     traj = integrate(p, random_solenoidal(G8, seed=14), noise)
     series = noise_term_path(traj)
     ws = Workspace(p, noise)
+    projected = ws.noise_spectra("projected", noise.eval_all(ws.n_noise, traj.states[0]))
     acc = np.zeros_like(traj.states[0].coeffs)
     for j in range(p.n_steps):
         db = traj.incs.step_increments(j, p.truncation.n)
-        for g, b in zip(ws.additive_projected, db):
-            acc += g * b
+        for g, b in zip(projected, db):
+            acc += g.coeffs * b
         got = series[j + 1].coeffs
         assert np.max(np.abs(got - acc)) <= 1e-12 * max(np.max(np.abs(acc)), 1e-30)
 
@@ -261,8 +265,9 @@ def test_fractional_sobolev_brownian_bound():
         series = noise_term_path(traj)
         wnorm = fractional_sobolev_norm(series, alpha=0.25, r=2.0, dt=pp.dt)
         ws = Workspace(pp, noise)
+        projected = ws.noise_spectra("projected", noise.eval_all(ws.n_noise, traj.states[0]))
         rhs = p.dt * sum(
-            sum(l2_norm(SpectralField(G8, g)) ** 2 for g in ws.additive_projected)
+            sum(l2_norm(g) ** 2 for g in projected)
             for _ in range(pp.n_steps)
         )
         assert np.isfinite(wnorm)
@@ -321,3 +326,41 @@ def test_drift_and_pressure_match_convolution_oracle():
     # nothing outside the dealias cut
     assert not drift[:, ~g.dealias_mask].any()
     assert not p.coeffs[~g.dealias_mask].any()
+
+
+@pytest.mark.parametrize("grid", [G8, G16], ids=["M8", "M16"])
+@pytest.mark.parametrize("kind", ["linear_multiplicative", "cosine"])
+def test_state_dependent_increment_matches_full_layout(kind, grid):
+    # the increment summed and projected on the retained modes, against the
+    # full-layout expression P[sum_k Q(psi_eps * sigma_k(u)) dB_k]
+    noise = make_noise_model(grid, kind, amplitude=0.3, max_k=8)
+    ws = Workspace(params(grid=grid), noise)
+    u = random_solenoidal(grid, seed=91, amp=0.8)
+    db = BrownianIncrements(5, 0, 1.0 / 64).step_increments(3, ws.n_noise)
+    acc = np.zeros_like(u.coeffs)
+    for s, b in zip(noise.eval_all(ws.n_noise, u), db):
+        acc += mollify(s, ws.mol).coeffs * grid.dealias_mask * b
+    want = leray_project(SpectralField(grid, acc)).coeffs
+
+    got = ws.noise_increment(u, db)
+    assert np.max(np.abs(want)) > 0.0
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    phys = np.fft.ifftn(got * grid.m ** 3, axes=(-3, -2, -1))
+    assert np.max(np.abs(phys.imag)) <= 1e-14
+    assert not got[:, ~grid.dealias_mask].any()
+
+
+@pytest.mark.parametrize("kind", ["additive", "linear_multiplicative", "cosine"])
+def test_em_step_makes_no_blas_call(kind, monkeypatch):
+    # a BLAS call starts BLAS threads, which contend with the ensemble's
+    # worker processes: the step runs on FFTs and elementwise work only
+    noise = make_noise_model(G8, kind, amplitude=0.3, max_k=8)
+    p = params(t_end=2.0 / 64)
+    u0 = random_solenoidal(G8, seed=93)
+
+    def blas(*args, **kwargs):
+        raise AssertionError("BLAS call in the EM step")
+
+    for name in ("dot", "vdot", "tensordot", "matmul", "inner"):
+        monkeypatch.setattr(np, name, blas)
+    assert integrate(p, u0, noise).stored_steps == [0, 1, 2]
