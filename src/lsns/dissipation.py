@@ -11,11 +11,19 @@ indices, the Fourier-route integrand is
     E^l      = u^j d_i (u^i u^j)_l - u^i u^j d_i (u^j)_l ,
 
 an exact identity for divergence-free u when every product is alias-free.
-All spectra here are computed on the 2M grid, which resolves even the triple
-products exactly under the strict 3K+1 <= M cutoff rule, so the pointwise
-residual of the identity is at roundoff level. One kernel (``DRKernel``)
-evaluates the four terms for ``dr_integrand``, the identity check and the
-time-integrated ledger alike.
+The pointwise checks (``dr_integrand``, the identity check) evaluate the
+four terms with one kernel (``DRKernel``) on the 2M grid, which resolves
+even the triple products exactly under the strict 3K+1 <= M cutoff rule, so
+the pointwise residual of the identity is at roundoff level.
+
+The time-integrated ledger needs only int s 4 D^l(u) dx, and never returns
+to physical space per scale: by discrete Parseval each term is a spectral
+inner product, so the sum is sum_k m_l(k) G(k) over one half-spectrum,
+with G built once per state from 19 forward transforms of products (plus
+u) and independent of l (``DRPairing``). Every pairing's two factors have
+per-axis bandwidths summing to 3K + bw (bw that of the spatial factor s),
+so the inner products are exact on any grid P > 3K + bw; the ledger uses
+the smallest even one, the energy ledger's flux grid.
 
 The defining displacement integral (1/4) int grad(alpha_l)(y) . delta_y u
 |delta_y u|^2 dy is also provided as a quadrature oracle on a tensor
@@ -122,6 +130,48 @@ class DRKernel:
                 t3 += 2.0 * u[j] * self.d_smooth(self.pair_hat[i, j], i, mult)
                 t4 -= 2.0 * u[i] * u[j] * self.d_smooth(self.u_hat[j], i, mult)
         return t1, t2, t3, t4
+
+
+_PAIRS = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])  # (i, j) -> row of u_i u_j
+
+
+class DRPairing:
+    """int s 4 D^l(u) dx at every scale l, by discrete Parseval on the P grid
+    of the spatial weight s: 0.25 * sum(m_l * G) = int s D^l(u) dx, with m_l
+    a kernel multiplier on the grid's ``rfftn`` half-spectrum (``multiplier``)
+    and G from one state (``weight``). Exact for P > 3K + bw."""
+
+    def __init__(self, s: np.ndarray):
+        p = s.shape[-1]
+        self.p = p
+        self.s = s
+        self.s_hat = sfft.rfftn(s, norm="forward")
+        n1 = np.fft.fftfreq(p, d=1.0 / p)
+        self.n = np.stack(np.meshgrid(n1, n1, np.arange(p // 2 + 1.0), indexing="ij"))
+        # a mode of the half-spectrum stands for itself and its conjugate
+        # partner, except on the self-conjugate n_z = 0 and Nyquist planes
+        self.parseval = np.full(p // 2 + 1, 2.0)
+        self.parseval[[0, -1]] = 1.0
+
+    def multiplier(self, kind: str, ell: float) -> np.ndarray:
+        return multiplier_on_modes(kind, ell, np.sum(self.n * self.n, axis=0), raw=True)
+
+    def weight(self, u: np.ndarray, usq: np.ndarray) -> np.ndarray:
+        """G(k) = Re sum_i 2 pi i n_i H_i(k), Parseval weights included, from
+        u and |u|^2 on the P grid, where with F the forward transform
+        H_i = conj(F[s u_i]) F[|u|^2] - conj(F[s]) F[u_i |u|^2]
+              + 2 sum_j (conj(F[s u_j]) F[u_i u_j] - conj(F[s u_i u_j]) F[u_j])
+        pairs s with the four terms of 4 D^l (one transform batch)."""
+        s = self.s
+        uu = np.stack([u[i] * u[j] for i in range(3) for j in range(i, 3)])
+        hat = sfft.rfftn(np.concatenate([s * u, usq[None], u * usq, uu, s * uu, u]),
+                         axes=(-3, -2, -1), norm="forward")
+        su, usq_hat, triple, pair, spair, u_hat = (
+            hat[:3], hat[3], hat[4:7], hat[7:13][_PAIRS], hat[13:19][_PAIRS], hat[19:])
+        h = (su.conj() * usq_hat - self.s_hat.conj() * triple
+             + 2.0 * (np.einsum("j...,ij...->i...", su.conj(), pair)
+                      - np.einsum("ij...,j...->i...", spair.conj(), u_hat)))
+        return -2.0 * np.pi * np.einsum("i...,i...->...", self.n, h.imag) * self.parseval
 
 
 def dr_integrand(u: SpectralField, ell: float, kind: str = "paper_bump") -> ScalarField:
@@ -233,9 +283,13 @@ def dr_oracle_agreement(u: SpectralField, ell: float, kind: str = "paper_bump",
 class DRLedger(Ledger):
     """Per-path series D_t^l = int_0^t int D^l(u) phi dx ds for an ell ladder.
 
-    Reports Cauchy differences between consecutive ladder scales as the
-    l -> 0 diagnostic (never extrapolated). Its series table has one ``SUM``
-    column per ladder scale, keyed by ell.
+    Each active step pairs its state with the spatial factor once
+    (``DRPairing.weight``, on the smallest even grid P > 3K + bw, where the
+    pairing is exact) and takes one weighted sum per ladder scale, so the
+    ladder adds no transform. Reports Cauchy differences between
+    consecutive ladder scales as the l -> 0 diagnostic (never
+    extrapolated). Its series table has one ``SUM`` column per ladder
+    scale, keyed by ell.
     """
 
     CSV_COLUMNS = None  # no per-path CSV; ``export`` writes the series as JSON
@@ -245,6 +299,7 @@ class DRLedger(Ledger):
         super().__init__({v: SUM for v in config.ell_values})
         self.phi = phi
         self.config = config
+        self._pairing = None
         self._mults = None
 
     @property
@@ -253,22 +308,19 @@ class DRLedger(Ledger):
 
     def begin(self, view: StepView):
         self.config.validate_resolution(view.grid)
-        k2 = Grid(view.pad).k2
-        self._mults = {
-            v: multiplier_on_modes(self.config.alpha_kind, v, k2, raw=True)
-            for v in self.config.ell_values
-        }
-        self._s = self.phi.spatial_values(view.pad)
+        p = view.exact_grid(3 * view.grid.dealias_cutoff + self.phi.spatial_bandwidth)
+        self._pairing = DRPairing(self.phi.spatial_values(p))
+        self._mults = {v: self._pairing.multiplier(self.config.alpha_kind, v)
+                       for v in self.config.ell_values}
         self.push(view)
 
     def advance(self, view: StepView, nxt: StepView):
         w1 = self.phi.theta_integral(view.t, nxt.t)
         incs = {}
         if w1 != 0.0:  # outside the temporal support every increment is 0.0
-            kernel = DRKernel(view.u_phys(view.pad), view.u_sq(view.pad))
-            for v in self.config.ell_values:
-                d_phi = 0.25 * float(np.mean(sum(kernel.terms(self._mults[v])) * self._s))
-                incs[v] = w1 * d_phi
+            p = self._pairing.p
+            g = self._pairing.weight(view.u_phys(p), view.u_sq(p))
+            incs = {v: w1 * (0.25 * float(np.sum(m * g))) for v, m in self._mults.items()}
         self.push(nxt, incs)
 
     def cauchy_differences(self, idx: int = -1):

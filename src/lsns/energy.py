@@ -96,7 +96,7 @@ class EnergyLedger(Ledger):
         k, bw = grid.dealias_cutoff, self.phi.spatial_bandwidth
         native_ok = 2 * k + bw <= grid.m - 1
         self._pq = grid.m if native_ok else view.pad
-        self._pf = min(view.pad, max(grid.m, 2 * bw, 2 * ((3 * k + bw) // 2 + 1)))
+        self._pf = view.exact_grid(3 * k + bw)
         self._s = self.phi.spatial_values(self._pq)
         self._lap_s = self.phi.spatial_laplacian(self._pq)
         self._s_pad = self.phi.spatial_values(view.pad)

@@ -129,6 +129,7 @@ class Workspace:
         self.heat = np.exp(-4.0 * np.pi**2 * params.nu * g.k2 * params.dt)
         self.n_noise = 0
         self._fixed: dict = {}  # fields of state-free noise, built once per path
+        self._step_raw = None  # sigma_k(u) the last step evaluated, see take_noise_raw
         if noise is not None:
             self.n_noise = min(params.truncation.n, noise.max_k)
             if params.truncation.n > noise.max_k:
@@ -161,13 +162,20 @@ class Workspace:
         return [SpectralField(self.grid, scatter(self.grid, c))
                 for c in self._noise_modes(tag, raw)]
 
+    def take_noise_raw(self) -> list | None:
+        """The fields sigma_k(u) the last step evaluated, handed out once
+        (None when it evaluated none), so a StepView of u need not repeat
+        the evaluation."""
+        raw, self._step_raw = self._step_raw, None
+        return raw
+
     def noise_increment(self, u: SpectralField, db: np.ndarray) -> np.ndarray:
         """Projected noise increment coefficients P[sum_k g_k dB_k], summed
         on the retained modes."""
         cache = self.noise_cache({})
         if "increment" not in cache:
-            cache["increment"] = self._noise_modes(
-                "projected", self.noise.eval_all(self.n_noise, u))
+            self._step_raw = self.noise.eval_all(self.n_noise, u)
+            cache["increment"] = self._noise_modes("projected", self._step_raw)
         return scatter(self.grid, sum(g * b for g, b in zip(cache["increment"], db)))
 
 

@@ -9,11 +9,11 @@ integrand is exactly resolved, and for ``pad`` where no finite grid is.
 Every synthesis goes through ``spectral.synthesize``.
 
 Views come from the one Euler-Maruyama loop (``integrate.em_path``) via
-``views_of`` while integrating (``iter_views``), handed their pressure by
-the step, or from the states of a stored stride-1 trajectory
-(``views_from_trajectory``), which compute it with the step's function;
-both give the same values, so replayed diagnostics reproduce inline ones
-bit-exactly. ``drive`` is the one driver: it feeds a view stream to
+``views_of`` while integrating (``iter_views``), handed their pressure and
+noise fields sigma_k(u) by the step, or from the states of a stored
+stride-1 trajectory (``views_from_trajectory``), which compute them with
+the step's functions; both give the same values, so replayed diagnostics
+reproduce inline ones bit-exactly. ``drive`` is the one driver: it feeds a view stream to
 ledgers, ``begin(v0)`` then ``advance(v_j, v_j+1)`` per step.
 
 Every ledger is a ``Ledger``: a table of per-row series declared once, in CSV
@@ -62,8 +62,15 @@ class StepView:
         self.index = index
         self.t = index * ws.params.dt
         self._pressure = None  # set by ``views_of`` from the step, else computed on demand
+        self._noise_raw = None  # likewise sigma_k(u), where the step evaluated them
         self.pad = PAD_FACTOR * ws.grid.m
         self._cache: dict = {}
+
+    def exact_grid(self, degree: int) -> int:
+        """Smallest even P from M up to ``pad`` on which the Riemann mean of a
+        product of total per-axis degree ``degree`` is exact (P > degree);
+        ``pad`` where none is."""
+        return min(self.pad, max(self.grid.m, 2 * (degree // 2 + 1)))
 
     def _get(self, key, builder):
         if key not in self._cache:
@@ -143,18 +150,22 @@ class StepView:
             return []
         cache = ws.noise_cache(self._cache)
         if ("noise", tag, p) not in cache:
-            raw = self._get("noise_raw", lambda: ws.noise.eval_all(ws.n_noise, self.u))
+            if self._noise_raw is None:
+                self._noise_raw = ws.noise.eval_all(ws.n_noise, self.u)
+            raw = self._noise_raw
             cache["noise", tag, p] = [synthesize(g, p) for g in ws.noise_spectra(tag, raw)]
         return cache["noise", tag, p]
 
 
 def views_of(stream, ws: Workspace):
-    """StepViews over an ``em_path`` stream: each view receives its pressure
-    from the step that leaves it, before the next view is yielded."""
+    """StepViews over an ``em_path`` stream: each view receives its pressure,
+    and the noise fields sigma_k(u) if that step evaluated them, from the
+    step that leaves it, before the next view is yielded."""
     prev = None
     for j, u, p_prev in stream:
         if prev is not None:
             prev._pressure = p_prev
+            prev._noise_raw = ws.take_noise_raw()
         prev = StepView(ws, u, j)
         yield prev
 

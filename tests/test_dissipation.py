@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from lsns.dissipation import (
     DRConfig,
+    DRKernel,
     DRLedger,
+    DRPairing,
     commutator_identity_check,
     dissipation_submartingale_test,
     dr_integrand,
@@ -11,10 +14,10 @@ from lsns.dissipation import (
 )
 from lsns.energy import EnergyLedger, Event
 from lsns.errors import ConfigurationError
-from lsns.integrate import RunParams
+from lsns.integrate import RunParams, Workspace
 from lsns.noise import make_noise_model
-from lsns.spectral import Grid, SpectralField, forward_transform
-from lsns.stepview import drive, iter_views
+from lsns.spectral import Grid, SpectralField, forward_transform, synthesize
+from lsns.stepview import StepView, drive, iter_views
 from lsns.testfunc import SpatialBump, TemporalWindow, TestFunction
 
 from helpers import random_solenoidal, taylor_green
@@ -155,3 +158,83 @@ def test_noise_off_submartingale_near_zero():
                                          events=[Event("all")])
     # smooth deterministic run: the D increment is tiny, either sign
     assert abs(rep.statistics[0].mean) <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# the ledger's Parseval pairing against the pointwise kernel
+
+LADDER = (1.0 / 4, 1.0 / 5, 1.0 / 6, 1.0 / 8)  # resolved on M = 8 and 16
+DT = 1.0 / 64
+
+
+def _state(grid, field):
+    if field == "random":
+        return random_solenoidal(grid, seed=74, amp=1.0)
+    # Taylor-Green after 8 steps: D^l of the vortex itself integrates to 0
+    p = RunParams(nu=0.02, epsilon=0.25, dt=DT, t_end=8 * DT, grid=grid, seed=8)
+    return list(iter_views(p, taylor_green(grid, 0.8), None))[-1].u
+
+
+def _phi(exponent):
+    return TestFunction(SpatialBump(exponent=exponent) if exponent else None)
+
+
+def _pointwise(u, phi, ell):
+    """0.25 mean(s 4 D^l) on the 2M grid, from the pointwise terms."""
+    kernel, mult = DRKernel.of(u, ell, "paper_bump")
+    return 0.25 * float(np.mean(sum(kernel.terms(mult)) * phi.spatial_values(kernel.p)))
+
+
+def _begun(u, phi, ladder):
+    """A DR ledger begun on a frozen state u, and two views of u one step apart."""
+    ws = Workspace(RunParams(nu=0.02, epsilon=0.25, dt=DT, t_end=DT, grid=u.grid, seed=0),
+                   None)
+    led = DRLedger(phi, DRConfig(ell_values=ladder))
+    v0 = StepView(ws, u, 0)
+    led.begin(v0)
+    return led, v0, StepView(ws, u, 1)
+
+
+@pytest.mark.parametrize("m", [8, 16])
+@pytest.mark.parametrize("field", ["taylor_green", "random"])
+@pytest.mark.parametrize("exponent", [0, 1, 2])
+def test_parseval_ledger_matches_pointwise_kernel(m, field, exponent):
+    u, phi = _state(Grid(m), field), _phi(exponent)
+    led, v0, v1 = _begun(u, phi, LADDER)
+    led.advance(v0, v1)
+    assert led._pairing.p == min(2 * m, 2 * ((3 * Grid(m).dealias_cutoff + exponent) // 2 + 1))
+    for ell in LADDER:
+        ref = _pointwise(u, phi, ell)
+        assert ref != 0.0
+        assert abs(led.series[ell][1] / DT - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("m, exponent", [(8, 2), (16, 1), (16, 2)])
+def test_parseval_pairing_below_exact_grid_misses(m, exponent):
+    # negative control: on the even grid below P > 3K + bw the pairings alias
+    u, phi = _state(Grid(m), "random"), _phi(exponent)
+    p = _begun(u, phi, LADDER)[0]._pairing.p - 2
+    assert p >= m
+    pairing = DRPairing(phi.spatial_values(p))
+    u_phys = synthesize(u, p)
+    g = pairing.weight(u_phys, np.sum(u_phys * u_phys, axis=0))
+    for ell in LADDER:
+        ref = _pointwise(u, phi, ell)
+        coarse = 0.25 * float(np.sum(pairing.multiplier("paper_bump", ell) * g))
+        assert abs(coarse - ref) > 1e-3 * abs(ref)
+
+
+def test_ell_ladder_adds_no_transform(monkeypatch):
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+        fn = getattr(scipy.fft, name)
+        monkeypatch.setattr(scipy.fft, name,
+                            lambda *a, _f=fn, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    u, phi = _state(G16, "random"), _phi(2)
+    counts = []
+    for ladder in (LADDER[:2], LADDER):
+        led, v0, v1 = _begun(u, phi, ladder)
+        calls.clear()
+        led.advance(v0, v1)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
