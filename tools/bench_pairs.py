@@ -45,7 +45,7 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
 
 
 def summary(values: list[float]) -> dict:
-    q1, med, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "values": values}
 
 
@@ -63,7 +63,6 @@ def compare(checkouts: dict, workload: str, seed: int, pairs: int, seconds: floa
     for side in SIDES:
         first = runs[side][0]["record"]
         entry[side] = {
-            "checkout": str(checkouts[side]),
             "provenance": first["provenance"],
             "config_digest": first["config_digest"],
             "correct": all(r["result"]["correct"] for r in runs[side]),
