@@ -3,11 +3,12 @@
     python3 tools/bench_pairs.py --base ../parent-checkout --out BENCH_x.json \
         --workload replay_ledgers --pairs 10 --seed 2026 [--seed 7] [--layers]
 
-``--base`` and ``--head`` (default: this checkout) are two checkouts of the
-repository, e.g. ``git clone`` of the parent commit and the change. For each
-workload and seed the script runs ``perfbench/run.py --trace 0`` in the two
-checkouts alternately, ``--pairs`` times, swapping which side goes first on
-every pair so that a drifting machine favours neither. Per end-to-end metric
+``--base`` is a checkout of the parent commit (e.g. its ``git clone``); the
+change is the checkout this script lives in. For each workload and seed the
+script runs ``perfbench/run.py --trace 0`` in the two checkouts alternately,
+``--pairs`` times, for the ``run_seconds`` that ``BENCHMARK.json`` fixes,
+swapping which side goes first on every pair so that a drifting machine
+favours neither. Per end-to-end metric
 of ``BENCHMARK.json`` it records each side's median and quartiles
 (``statistics.quantiles(n=4)``) and the number of pairs the head won. Each
 side's provenance (git commit, ``src/`` digest, library versions, nproc,
@@ -98,22 +99,20 @@ def compare(checkouts: dict, workload: str, seed: int, pairs: int, seconds: floa
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", type=Path, required=True, help="checkout of the parent")
-    ap.add_argument("--head", type=Path, default=ROOT, help="checkout of the change")
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seed", type=int, action="append")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=25)
     ap.add_argument("--layers", action="store_true", help="add one traced run per side")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
-    checkouts = {"base": args.base.resolve(), "head": args.head.resolve()}
-    declared = json.loads((checkouts["head"] / "BENCHMARK.json").read_text())["end_to_end"]
+    checkouts = {"base": args.base.resolve(), "head": ROOT}
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     # an existing file is extended, so workloads and seeds can be run one at a time
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"comparisons": []}
     for workload in args.workload:
         for seed in args.seed or [2026]:
-            entry = compare(checkouts, workload, seed, args.pairs, args.seconds, declared,
-                            args.layers)
+            entry = compare(checkouts, workload, seed, args.pairs, bench["run_seconds"],
+                            bench["end_to_end"], args.layers)
             doc["comparisons"] = [e for e in doc["comparisons"]
                                   if (e["workload"], e["seed"]) != (workload, seed)]
             doc["comparisons"].append(entry)
