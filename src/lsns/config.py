@@ -20,7 +20,14 @@ from .errors import ConfigurationError
 from .integrate import RunParams
 from .noise import KINDS as NOISE_KINDS
 from .noise import NoiseModel, make_noise_model
-from .spectral import Grid, SpectralField, random_solenoidal, taylor_green
+from .spectral import (
+    Grid,
+    ScalarField,
+    SpectralField,
+    has_nyquist,
+    random_solenoidal,
+    taylor_green,
+)
 from .testfunc import SpatialBump, TemporalWindow, TestFunction
 from .vorticity import HFunction, VorticityLedger
 
@@ -87,6 +94,19 @@ def _check_keys(block, schema: dict, where: str):
                 _check_keys(item, sub[0], f"{path}[{i}]")
         elif sub is not None:
             _check_keys(val, sub, path)
+
+
+def _check_exact_grid(name: str, exponent: int, grid: Grid):
+    """The ledgers' cubic integrands (per-axis degree 3K + exponent) have
+    exact Riemann means on the 2M pad only below 2M; past that they would
+    fall back to the pad silently inexact."""
+    m, k = grid.m, grid.dealias_cutoff
+    if 3 * k + exponent >= 2 * m:
+        raise ConfigurationError(
+            f"test function {name!r}: exponent {exponent} gives 3K + exponent = "
+            f"{3 * k + exponent} >= 2M = {2 * m} (K = {k}); the largest exact "
+            f"exponent is {2 * m - 1 - 3 * k}"
+        )
 
 
 @dataclass(frozen=True)
@@ -172,7 +192,6 @@ class ExperimentConfig:
 
     def _noise_from_files(self, kind, files, block) -> NoiseModel:
         from .persist import read_snapshot
-        from .spectral import ScalarField
 
         grid = self.grid()
         fields = []
@@ -180,11 +199,16 @@ class ExperimentConfig:
             fld, _ = read_snapshot(f, grid)
             fields.append(fld)
         want_scalar = kind == "linear_multiplicative"
-        for i, fld in enumerate(fields):
+        for i, (f, fld) in enumerate(zip(files, fields)):
             is_scalar = isinstance(fld, ScalarField)
             if is_scalar != want_scalar:
                 raise ConfigurationError(
                     f"noise.coefficient_files[{i}]: wrong field kind for {kind}"
+                )
+            if has_nyquist(fld):  # no exact samples on the ledgers' finer grids
+                raise ConfigurationError(
+                    f"noise.coefficient_files[{i}] ({f}): content on a Nyquist plane "
+                    f"(|n_i| = M/2 = {grid.m // 2})"
                 )
         stored = {"scalar_fields" if want_scalar else "vector_fields": tuple(fields)}
         return NoiseModel(kind, grid, len(fields), **stored, decay_note="loaded from files",
@@ -206,6 +230,7 @@ class ExperimentConfig:
                     center=tuple(_opt(sp, "center", (0.5, 0.5, 0.5))),
                     exponent=_need(sp, "exponent", int, f"test_functions[{i}].spatial"),
                 )
+                _check_exact_grid(name, spatial.exponent, self.grid())
             temporal = None
             if "temporal" in spec:
                 tp = spec["temporal"]
@@ -258,6 +283,12 @@ class ExperimentConfig:
             if not phis:
                 raise ConfigurationError("diagnostics.dissipation: needs a test function")
             out.append(DRLedger(phis[0], drc))
+        grid = self.grid()
+        if out and 2 * grid.dealias_cutoff >= grid.m:
+            raise ConfigurationError(
+                f"diagnostics: the ledgers need dealias_cutoff < M/2, got {grid.dealias_cutoff} "
+                f"at M={grid.m} (a state on the Nyquist planes has no exact finer-grid samples)"
+            )
         return out
 
     def xi_functionals(self) -> dict:

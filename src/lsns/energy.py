@@ -23,7 +23,11 @@ resolves each integrand (every integrand is a trigonometric polynomial).
 Because the discrete dynamics injects the Leray-projected, Galerkin-truncated
 noise, the ledger also records the projected compensator and the unmollified
 one (the limit-system expression), plus their gaps, rather than guessing
-which one a limit test should use.
+which one a limit test should use. The unmollified integrand |sigma_k(u)|^2 s
+is evaluated pointwise on the 2M pad, sigma_k applied to u's samples there
+(``NoiseModel.sample``): exact for linear-multiplicative noise while
+2(K + bw_c) + bw < 2M (bw_c the coefficients' bandwidth, 2 for the built-in
+ones), and for cosine noise free of the aliasing of an M-grid evaluation.
 
 ``EnergyLedger.SERIES`` is the ledger's one series table (see
 ``stepview.Ledger``): each time integral is a ``SUM`` advanced by the step's

@@ -150,11 +150,9 @@ class Workspace:
         return [project_modes(self.grid, c) for c in injected]
 
     def noise_spectra(self, tag: str, raw: list) -> list:
-        """Noise fields from ``raw`` = [sigma_k(u)]: ``raw`` itself, ``injected``
-        (truncated psi_eps * sigma_k(u)), ``projected`` (its Leray projection,
-        what the dynamics adds) or ``curl`` (curl of the injected field)."""
-        if tag == "raw":
-            return raw
+        """Noise fields from ``raw`` = [sigma_k(u)]: ``injected`` (truncated
+        psi_eps * sigma_k(u)), ``projected`` (its Leray projection, what the
+        dynamics adds) or ``curl`` (curl of the injected field)."""
         if tag == "curl":
             return [curl(g) for g in self.noise_spectra("injected", raw)]
         if tag not in ("injected", "projected"):

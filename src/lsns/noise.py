@@ -121,7 +121,7 @@ class NoiseModel:
     scalar_fields: tuple = ()   # per-k ScalarField (multiplicative c_k)
     tail_beyond_max_k: float = 0.0  # analytic sum of ||.||^2-type bounds for k > max_k
     decay_note: str = ""
-    _phys_cache: tuple = field(default=(), repr=False, compare=False)
+    _samples: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -130,10 +130,6 @@ class NoiseModel:
         if len(stored) != self.max_k:
             raise ConfigurationError(
                 f"{self.kind} noise stores {len(stored)} coefficient fields, want max_k={self.max_k}"
-            )
-        if not self._phys_cache:
-            object.__setattr__(
-                self, "_phys_cache", tuple(inverse_transform(f) for f in stored)
             )
 
     # -- closed-form norm data used by the analytic bounds ------------------
@@ -195,13 +191,28 @@ class NoiseModel:
     def _evaluate(self, ks, u: SpectralField) -> list[SpectralField]:
         if self.state_free:
             return [self.vector_fields[k - 1] for k in ks]
-        u_phys = inverse_transform(u)
+        return [forward_transform(self.grid, s)
+                for s in self.sample(ks, self.grid.m, inverse_transform(u))]
+
+    def sample(self, ks, p: int, u_phys: np.ndarray | None) -> list[np.ndarray]:
+        """sigma_k(u) for k in ``ks`` on the P grid (P >= M), pointwise from
+        the velocity samples ``u_phys`` (3, P, P, P) there (unused, and may be
+        None, for state-free noise): the one rule behind ``eval`` on the M
+        grid and the ledgers' unmollified noise on the pad."""
+        coef = [self._coefficient_samples(k, p) for k in ks]
+        if self.state_free:
+            return coef
         if self.kind == "linear_multiplicative":
-            return [forward_transform(self.grid, self._phys_cache[k - 1][None] * u_phys)
-                    for k in ks]
+            return [c[None] * u_phys for c in coef]
         mod = np.sqrt(1.0 + np.sum(u_phys**2, axis=0))
-        return [forward_transform(self.grid, self._phys_cache[k - 1] * np.cos(k * mod)[None])
-                for k in ks]
+        return [c * np.cos(k * mod)[None] for k, c in zip(ks, coef)]
+
+    def _coefficient_samples(self, k: int, p: int) -> np.ndarray:
+        """The k-th stored coefficient field on the P grid, cached per (k, P)."""
+        if (k, p) not in self._samples:
+            stored = self.vector_fields or self.scalar_fields
+            self._samples[k, p] = synthesize(stored[k - 1], p)
+        return self._samples[k, p]
 
     # -- analytic per-family bounds -----------------------------------------
 

@@ -23,6 +23,11 @@ full layout and into the ``rfftn`` layout (M, M, M//2+1). ``gather`` takes
 a full-layout array to those modes; ``scatter`` puts retained values back
 and fills each mode n_z < 0 with the conjugate of its partner -n, so a
 real field's spectrum comes back Hermitian and zero outside the cut.
+
+Synthesis. ``synthesize`` evaluates a field on a finer P^3 grid (the
+ledgers' exact grids and the 2M pad) by one real route: y and x inverse
+transforms of the populated z half-spectrum, then a c2r transform along z.
+A field with more than round-off on a Nyquist plane is refused there.
 """
 
 from __future__ import annotations
@@ -78,13 +83,6 @@ def _mode_map(m: int, cutoff: int) -> ModeMap:
     return ModeMap(full=full, half=(ix * m + iy) * (m // 2 + 1) + iz,
                    n=n.reshape(3, -1)[:, full], k2=k2.reshape(-1)[full],
                    mirror_src=src, mirror=mirror[src])
-
-
-@lru_cache(maxsize=None)
-def _pad_index(m: int, p: int):
-    """Index array mapping mode slots of an M-grid onto a P-grid (P >= M)."""
-    n1 = np.fft.fftfreq(m, d=1.0 / m).astype(int)
-    return n1 % p
 
 
 @dataclass(frozen=True)
@@ -219,35 +217,42 @@ def inverse_transform(f: Field) -> np.ndarray:
 def synthesize(f: Field, p: int) -> np.ndarray:
     """Evaluate a field's trigonometric polynomial on a finer P^3 grid.
 
-    Exact for fields whose Nyquist planes are empty (always true for
-    dealiased fields and the low-order test functions used here); those
-    take the real-to-real route, as every field here is real-valued.
+    One real route (``_synthesize_real``), exact for real fields whose
+    Nyquist planes are empty: every dealiased field, and the noise
+    coefficient fields, which the config checks. A Nyquist plane holding
+    more than round-off (``has_nyquist``) has no unique real extension to
+    a finer grid, so at P > M it raises rather than losing that content.
     """
     m = f.grid.m
     if p == m:
         return inverse_transform(f)
     if p < m:
         raise ConfigurationError(f"synthesis grid P={p} finer than source M={m} required")
-    c = f.coeffs
-    h = m // 2
-    if not (c[..., h, :, :].any() or c[..., h, :].any() or c[..., h].any()):
-        return _synthesize_real(c, h, p)
-    # a populated Nyquist plane: synthesize the full complex spectrum
-    idx = _pad_index(m, p)
-    if f.coeffs.ndim == 4:
-        out = np.zeros((3, p, p, p), dtype=complex)
-        out[np.ix_(range(3), idx, idx, idx)] = f.coeffs
-    else:
-        out = np.zeros((p, p, p), dtype=complex)
-        out[np.ix_(idx, idx, idx)] = f.coeffs
-    return sfft.ifftn(out * p**3, axes=(-3, -2, -1)).real
+    if has_nyquist(f):
+        raise ConfigurationError(
+            f"field with a populated Nyquist plane (|n_i| = M/2) cannot be synthesized "
+            f"exactly on P={p} > M={m}"
+        )
+    return _synthesize_real(f.coeffs, m // 2, p)
+
+
+def has_nyquist(f: Field) -> bool:
+    """Whether a Nyquist plane (index M/2 on some axis) holds more than
+    round-off, 64 eps of the largest coefficient (the round-off of an FFT of
+    samples, which a finer grid may drop)."""
+    c, h = f.coeffs, f.grid.m // 2
+    planes = (c[..., h, :, :], c[..., h, :], c[..., h])
+    if not any(a.any() for a in planes):
+        return False
+    tol = 64 * np.finfo(float).eps * np.max(np.abs(c))
+    return any(np.max(np.abs(a)) > tol for a in planes)
 
 
 def _synthesize_real(c: np.ndarray, h: int, p: int) -> np.ndarray:
     """Real P^3 samples of Hermitian coefficients c (M = 2h per axis) with
     empty Nyquist planes, one axis at a time: the z half-spectrum is
     transformed along y and x only where it is populated, then c2r along z.
-    About a third of the work of the padded c2c transform."""
+    About a third of the work of a padded c2c transform."""
     lead = c.shape[:-3]
     half = c[..., :h]                                   # kz = 0 .. h-1
     a = np.zeros(lead + (2 * h, p, h), dtype=complex)   # pad y to P

@@ -6,7 +6,11 @@ the energy, vorticity and dissipation ledgers share them. Each field has one
 accessor taking the synthesis grid size P: a ledger asks for the smallest
 grid (from the native M up to the padded ``pad`` = 2M) on which its
 integrand is exactly resolved, and for ``pad`` where no finite grid is.
-Every synthesis goes through ``spectral.synthesize``.
+Every synthesis goes through ``spectral.synthesize``, and fields that follow
+from cached samples take none: the vorticity is the antisymmetric part of the
+velocity gradient's samples, and the unmollified noise sigma_k(u) is
+evaluated pointwise from the velocity's samples on the pad
+(``NoiseModel.sample``), so no FFT of sigma_k(u) is synthesized.
 
 Views come from the one Euler-Maruyama loop (``integrate.em_path``) via
 ``views_of`` while integrating (``iter_views``), handed their pressure and
@@ -135,25 +139,40 @@ class StepView:
         return self._get("omega", lambda: curl(self.u))
 
     def omega_phys(self, p: int) -> np.ndarray:
-        return self._get(("omega", p), lambda: synthesize(self.omega, p))
+        """curl u on the P grid: the antisymmetric part of ``grad_u_phys(p)``,
+        so it costs no synthesis of its own."""
+
+        def build():
+            g = self.grad_u_phys(p)  # g[i, j] = d_i u_j
+            return np.stack([g[1, 2] - g[2, 1], g[2, 0] - g[0, 2], g[0, 1] - g[1, 0]])
+
+        return self._get(("omega", p), build)
 
     def grad_omega_phys(self, p: int) -> np.ndarray:
         return self._grad_phys("grad_omega", p, lambda: grad_components(self.omega))
 
     # -- noise fields at the left endpoint ------------------------------------
 
-    def noise_phys(self, tag: str, p: int) -> list[np.ndarray]:
-        """The noise fields ``tag`` (see ``Workspace.noise_spectra``) on the
-        P grid, synthesized once per path when the noise is state-free."""
+    def noise_phys(self, tag: str, p: int) -> np.ndarray:
+        """The noise fields ``tag`` on the P grid, stacked (N, 3, P, P, P);
+        once per path when the noise is state-free. ``raw`` is sigma_k(u)
+        evaluated pointwise from u's samples on that grid
+        (``NoiseModel.sample``); the others (see ``Workspace.noise_spectra``)
+        are synthesized from their spectra."""
         ws = self.ws
         if ws.noise is None:
             return []
         cache = ws.noise_cache(self._cache)
         if ("noise", tag, p) not in cache:
-            if self._noise_raw is None:
-                self._noise_raw = ws.noise.eval_all(ws.n_noise, self.u)
-            raw = self._noise_raw
-            cache["noise", tag, p] = [synthesize(g, p) for g in ws.noise_spectra(tag, raw)]
+            ks = range(1, ws.n_noise + 1)
+            if tag == "raw":
+                u = None if ws.noise.state_free else self.u_phys(p)
+                fields = ws.noise.sample(ks, p, u)
+            else:
+                if self._noise_raw is None:
+                    self._noise_raw = ws.noise.eval_all(ws.n_noise, self.u)
+                fields = [synthesize(g, p) for g in ws.noise_spectra(tag, self._noise_raw)]
+            cache["noise", tag, p] = np.stack(fields)
         return cache["noise", tag, p]
 
 

@@ -12,9 +12,11 @@ torus; rho_k = psi_eps * curl sigma_k(u)):
 
 The ledger advances every deterministic term (pointwise transforms evaluated
 on the padded physical grid, integrals by grid quadrature) and closes the
-martingale as the residual. Its quadratic variation is additionally
-predicted by sum_k (int rho_k . grad q)^2 dt, recorded as a derived (not
-paper-stated) comparison. ``VorticityLedger.SERIES`` is its one series table
+martingale as the residual. omega on the pad is the antisymmetric part of the
+grad u samples (``StepView.omega_phys``), and the noise terms are reductions
+over the stacked rho_k (``_noise_rates``). Its quadratic variation is
+additionally predicted by sum_k (int rho_k . grad q)^2 dt, recorded as a
+derived (not paper-stated) comparison. ``VorticityLedger.SERIES`` is its one series table
 (see ``stepview.Ledger``): the state norms are given per row, each time
 integral is a ``SUM`` advanced by dt times its rate, and the martingale, its
 realized quadratic variation and the L1 / sqrt-moment norm chain are derived
@@ -150,6 +152,21 @@ def hessian_bounds_check(hf: HFunction, samples: int, seed: int = 2024,
 # ledger
 
 
+def _noise_rates(rho, om, gradq, hp, hpp) -> tuple[float, float]:
+    """(compensator rate, predicted QV rate) of the stacked noise vorticities
+    rho (N, 3, P, P, P): 1/2 int (2 h' sum_k |rho_k|^2 + 4 h'' sum_k
+    (rho_k . om)^2) and sum_k (int rho_k . grad q)^2, each one reduction
+    over k (einsum without ``optimize``, so no BLAS call)."""
+    if len(rho) == 0:
+        return 0.0, 0.0
+    rho2 = np.einsum("kixyz,kixyz->xyz", rho, rho)
+    rdot = np.einsum("kixyz,ixyz->kxyz", rho, om)
+    rdot2 = np.einsum("kxyz,kxyz->xyz", rdot, rdot)
+    comp_rate = 0.5 * float(np.mean(2.0 * hp * rho2 + 4.0 * hpp * rdot2))
+    pairings = np.einsum("kixyz,ixyz->k", rho, gradq) / om[0].size
+    return comp_rate, float(np.sum(pairings**2))
+
+
 class VorticityLedger(Ledger):
     """Accumulates the transformed-vorticity identity terms along one path."""
 
@@ -217,13 +234,7 @@ class VorticityLedger(Ledger):
         gradq = 2.0 * om * hp[None]
         stretch_rate = float(np.mean(np.einsum("ixyz,ixyz->xyz", c, gradq)))
 
-        comp_rate = 0.0
-        qv_rate = 0.0
-        for rho in view.noise_phys("curl", p):
-            rho2 = np.sum(rho * rho, axis=0)
-            rdot = np.sum(rho * om, axis=0)
-            comp_rate += 0.5 * float(np.mean(2.0 * hp * rho2 + 4.0 * hpp * rdot**2))
-            qv_rate += float(np.mean(np.sum(rho * gradq, axis=0))) ** 2
+        comp_rate, qv_rate = _noise_rates(view.noise_phys("curl", p), om, gradq, hp, hpp)
 
         expo = 2.0 / (3.0 + d)
         gn_rate = float(np.mean(s1**expo))

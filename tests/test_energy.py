@@ -9,7 +9,7 @@ from lsns.energy import (
 )
 from lsns.errors import ConfigurationError
 from lsns.integrate import Hooks, RunParams, integrate
-from lsns.noise import make_noise_model
+from lsns.noise import MODE_TABLE, make_noise_model
 from lsns.spectral import Grid, SpectralField, synthesize
 from lsns.stepview import drive, iter_views, views_from_trajectory
 from lsns.testfunc import SpatialBump, TemporalWindow, TestFunction
@@ -305,3 +305,34 @@ def test_zero_mean_multiplicative_and_cosine_families():
         stderr = nts.std(ddof=1) / np.sqrt(len(nts))
         assert abs(nts.mean()) <= 4 * stderr, kind
         assert max(gaps) <= nts.std(ddof=1), kind
+
+
+def test_unmollified_compensator_matches_refined_riemann_mean():
+    # sum_k int_0^t int |sigma_k(u)|^2 s with sigma_k(u) = c_k u, against an
+    # independent Riemann mean on the 4M grid: c_k in closed form, u
+    # synthesized there (|c_k u|^2 s has per-axis degree 2(K + 2) + 2 < 2M,
+    # so both grids are exact)
+    amp, ratio, beta = 0.3, 0.5, 0.5
+    noise = make_noise_model(G16, "linear_multiplicative", amplitude=amp, ratio=ratio,
+                             max_k=8, flatness=beta)
+    phi = TestFunction(SpatialBump(exponent=2), window(0.125))
+    p = params(grid=G16, dt=1.0 / 64, t_end=0.125)
+    traj = integrate(p, random_solenoidal(G16, seed=12, amp=0.7), noise)
+    led = EnergyLedger(phi)
+    drive(views_from_trajectory(traj), [led])
+
+    pr = 4 * G16.m
+    x = np.stack(np.meshgrid(*[np.arange(pr) / pr] * 3, indexing="ij"))
+    c2 = 0.0
+    for k in range(1, traj.workspace.n_noise + 1):
+        n = np.array(MODE_TABLE[(k - 1) % len(MODE_TABLE)], dtype=float)
+        c_k = amp * ratio**k * (1 + beta * np.cos(2 * np.pi * np.einsum("i,i...->...", n, x)))
+        c2 = c2 + (c_k / (1 + beta)) ** 2
+    weight = c2 * phi.spatial_values(pr)
+    oracle = [0.0]
+    for j, u in enumerate(traj.states[:-1]):
+        usq = np.sum(synthesize(u, pr) ** 2, axis=0)
+        w1 = phi.theta_integral(j * p.dt, (j + 1) * p.dt)
+        oracle.append(oracle[-1] + w1 * float(np.mean(usq * weight)))
+    assert oracle[-1] > 0
+    np.testing.assert_allclose(led.compensator_unmollified, oracle, rtol=1e-12, atol=0)

@@ -19,7 +19,7 @@ from lsns.persist import (
     save_trajectory,
     write_snapshot,
 )
-from lsns.spectral import Grid, ScalarField
+from lsns.spectral import Grid, ScalarField, SpectralField
 from lsns.stepview import views_from_trajectory
 from lsns.vorticity import vorticity_bounds_report
 
@@ -526,6 +526,24 @@ def test_bad_ledger_plans_fail_at_parse_time(tmp_path):
     assert res.exit_code == 2, res.output
 
 
+def test_wide_test_function_fails_at_parse_time(tmp_path):
+    # at M = 8 (K = 2) the ledgers are exact while 3K + exponent < 2M = 16
+    doc = base_config(tmp_path)
+    doc["diagnostics"]["test_functions"][0]["spatial"]["exponent"] = 9
+    ExperimentConfig.parse(doc)
+    doc["diagnostics"]["test_functions"][0]["spatial"]["exponent"] = 10
+    with pytest.raises(ConfigurationError, match=r"'bump'.*3K \+ exponent = 16 >= 2M = 16"):
+        ExperimentConfig.parse(doc)
+
+    # a Nyquist-wide cutoff puts state on planes no finer grid can carry
+    doc = base_config(tmp_path)
+    doc["run"]["dealias_cutoff"] = 4
+    with pytest.raises(ConfigurationError, match="dealias_cutoff < M/2"):
+        ExperimentConfig.parse(doc)
+    del doc["diagnostics"]
+    ExperimentConfig.parse(doc)
+
+
 def test_strided_snapshots_with_ledgers(tmp_path):
     csvs = {}
     for stride in (1, 2):
@@ -624,4 +642,14 @@ def test_noise_coefficient_files(tmp_path):
     write_snapshot(spath, s, 0.0)
     doc["noise"] = {"kind": "additive", "coefficient_files": [str(spath)]}
     with pytest.raises(ConfigurationError):
+        ExperimentConfig.parse(doc)
+
+    # a field with content on a Nyquist plane (index M/2 = 4) is named
+    c = single_mode_vector_field(G8, (1, 0, 0), 0.2).coeffs.copy()
+    c[1, 4, 0, 0] = 0.05
+    npath = tmp_path / "nyquist.lsns"
+    write_snapshot(npath, SpectralField(G8, c), 0.0)
+    doc["noise"] = {"kind": "additive", "coefficient_files": [files[0], str(npath)]}
+    named = r"coefficient_files\[1\] \(.*nyquist\.lsns\).*Nyquist"
+    with pytest.raises(ConfigurationError, match=named):
         ExperimentConfig.parse(doc)

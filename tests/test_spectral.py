@@ -243,6 +243,21 @@ def test_synthesize_refines_exactly():
     assert np.max(np.abs(fine[:, ::2, ::2, ::2] - coarse)) <= 1e-12 * np.max(np.abs(coarse))
 
 
+def test_synthesize_refuses_nyquist_content():
+    # a populated Nyquist plane has no exact real extension to a finer grid
+    g = Grid(8)
+    u = random_field(g, seed=81)
+    assert np.any(u.coeffs[:, 4] != 0)
+    with pytest.raises(ConfigurationError, match="Nyquist"):
+        synthesize(u, 16)
+    assert np.array_equal(synthesize(u, 8), inverse_transform(u))  # native grid: no loss
+    # round-off on a Nyquist plane, as an FFT of samples leaves, is dropped
+    v = random_solenoidal(g, seed=82)
+    w = v.coeffs.copy()
+    w[:, 4, 1, 2] = 1e-18
+    assert np.array_equal(synthesize(SpectralField(g, w), 16), synthesize(v, 16))
+
+
 def test_dealias_masks_high_modes():
     g = Grid(8)
     u = random_field(g, seed=71)

@@ -5,12 +5,13 @@ from lsns.errors import ConfigurationError
 from lsns import stepview
 from lsns.integrate import RunParams
 from lsns.noise import make_noise_model
-from lsns.spectral import Grid, SpectralField, forward_transform
+from lsns.spectral import Grid, SpectralField, curl, forward_transform, synthesize
 from lsns.stepview import drive, iter_views
 from lsns.vorticity import (
     BoundViolation,
     HFunction,
     VorticityLedger,
+    _noise_rates,
     h_eval,
     hessian_bounds_check,
     ladder_trend_table,
@@ -187,6 +188,33 @@ def test_vorticity_ledger_pad_convergence(monkeypatch, field):
                  "stretching", "noise_compensator", "grad_norm", "qv_predicted"]:
         assert terminal[2][name] == pytest.approx(fine[name], rel=5e-4), name
     assert terminal[2]["martingale"] == pytest.approx(fine["martingale"], abs=3e-4)
+
+
+def test_omega_from_velocity_gradient():
+    # the antisymmetric part of the grad u samples against a synthesis of curl u
+    view = next(iter_views(params(t_end=1.0 / 128), random_solenoidal(G16, seed=9), None))
+    om = view.omega_phys(view.pad)
+    ref = synthesize(curl(view.u), view.pad)
+    assert np.max(np.abs(om - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_batched_noise_rates_match_per_k_loop():
+    noise = make_noise_model(G16, "linear_multiplicative", amplitude=0.4, ratio=0.7, max_k=8)
+    view = next(iter_views(params(t_end=1.0 / 128), random_solenoidal(G16, seed=10), noise))
+    hf, p = HFunction(0.5), view.pad
+    om = view.omega_phys(p)
+    alpha = 1.0 + np.sum(om * om, axis=0)
+    hp, hpp = hf.h_prime(alpha), hf.h_second(alpha)
+    gradq = 2.0 * om * hp[None]
+    rho = view.noise_phys("curl", p)
+    assert len(rho) == 5
+    comp, qv = 0.0, 0.0
+    for r in rho:
+        rdot = np.sum(r * om, axis=0)
+        comp += 0.5 * float(np.mean(2.0 * hp * np.sum(r * r, axis=0) + 4.0 * hpp * rdot**2))
+        qv += float(np.mean(np.sum(r * gradq, axis=0))) ** 2
+    batched = _noise_rates(rho, om, gradq, hp, hpp)
+    assert batched == pytest.approx((comp, qv), rel=1e-13)
 
 
 def test_mixed_epsilon_rejected():
