@@ -79,7 +79,6 @@ class EnergyLedger(Ledger):
         self.phi = phi
         self._initial_energy = 0.0
         self._s = None  # spatial arrays cached on first view
-        self._fixed_means: dict = {}  # state-free noise means, see _noise_sq_means
 
     @property
     def key(self) -> str:
@@ -92,14 +91,11 @@ class EnergyLedger(Ledger):
     # -- consumer protocol ----------------------------------------------------
 
     def begin(self, view: StepView):
-        grid = view.grid
-        # a Riemann mean over P points is exact for per-axis degree < P:
-        # quadratic integrands (degree 2K + bw) use the native grid when it
-        # resolves them, the cubic flux terms (3K + bw) the smallest even
-        # grid that does, and the unmollified noise term the pad
-        k, bw = grid.dealias_cutoff, self.phi.spatial_bandwidth
-        native_ok = 2 * k + bw <= grid.m - 1
-        self._pq = grid.m if native_ok else view.pad
+        # the quadratic (per-axis degree 2K + bw) and cubic flux (3K + bw)
+        # integrands on their smallest exact grids; the unmollified noise
+        # term, sigma_k applied pointwise, on the pad
+        k, bw = view.grid.dealias_cutoff, self.phi.spatial_bandwidth
+        self._pq = view.exact_grid(2 * k + bw)
         self._pf = view.exact_grid(3 * k + bw)
         self._s = self.phi.spatial_values(self._pq)
         self._lap_s = self.phi.spatial_laplacian(self._pq)
@@ -151,14 +147,11 @@ class EnergyLedger(Ledger):
         return incs
 
     def _noise_sq_means(self, view: StepView, tag: str, p: int, s) -> list[float]:
-        """Per-field means of |g_k|^2 s on the P grid; state-free noise fields
-        are the same at every step, so their means are computed once."""
-        if (tag, p) in self._fixed_means:
-            return self._fixed_means[tag, p]
-        means = [_MEAN(np.sum(g * g, axis=0) * s) for g in view.noise_phys(tag, p)]
-        if view.ws.noise.state_free:
-            self._fixed_means[tag, p] = means
-        return means
+        """Per-field means of |g_k|^2 s on the P grid, cached with the
+        view's noise fields."""
+        return view.noise_derived(
+            (self, tag, p),
+            lambda: [_MEAN(np.sum(g * g, axis=0) * s) for g in view.noise_phys(tag, p)])
 
     # -- accounting ------------------------------------------------------------
 

@@ -20,13 +20,16 @@ retained half-spectrum (``spectral.product_modes``: the (2K+1)^2 (K+1)
 modes inside the cut with n_z >= 0) and scattered back to the full
 (3, M, M, M) layout the state keeps. Every noise family takes one path:
 psi_eps * sigma_k(u) is gathered onto those modes, projected and summed
-there; fields of ``state_free`` noise are built once per path.
+there.
 
 ``em_path`` is the one Euler-Maruyama loop of the package: ``integrate``
 folds its stream into a ``Trajectory`` of stored states, the StepView
 stream of the diagnostic ledgers wraps it (``stepview.iter_views``), and
 ``ensemble.run_one_path`` consumes it directly. A ``Workspace`` holds
-everything a path reuses across steps.
+everything a path reuses across steps, and the accessors that own the keys
+of a state's one cache dict: step j leaves the pressure and noise fields
+of u_j there, the StepView of u_j reads them, and a view of a stored state
+computes them into an empty dict on demand.
 """
 
 from __future__ import annotations
@@ -117,7 +120,8 @@ class RunParams:
 
 
 class Workspace:
-    """Per-run precomputed operators shared by every step of a path."""
+    """Per-run precomputed operators shared by every step of a path, and the
+    accessors of a state's cache dict (see ``em_path``)."""
 
     def __init__(self, params: RunParams, noise: NoiseModel | None):
         self.params = params
@@ -128,8 +132,7 @@ class Workspace:
         self.mol_modes = gather(g, self.mol.multiplier)
         self.heat = np.exp(-4.0 * np.pi**2 * params.nu * g.k2 * params.dt)
         self.n_noise = 0
-        self._fixed: dict = {}  # fields of state-free noise, built once per path
-        self._step_raw = None  # sigma_k(u) the last step evaluated, see take_noise_raw
+        self._fixed: dict = {}  # noise fields of state-free noise, built once per path
         if noise is not None:
             self.n_noise = min(params.truncation.n, noise.max_k)
             if params.truncation.n > noise.max_k:
@@ -137,44 +140,51 @@ class Workspace:
                     f"N(eps)={params.truncation.n} exceeds the noise model's max_k={noise.max_k}"
                 )
 
-    def noise_cache(self, state_cache: dict) -> dict:
-        """Where the noise fields of a state are cached: here, once per path,
-        when sigma_k does not depend on the state; else in ``state_cache``."""
-        return self._fixed if self.noise.state_free else state_cache
+    def drift(self, u: SpectralField, cache: dict) -> np.ndarray:
+        """The projected drift of u; leaves u's pressure in ``cache``."""
+        drift, cache["pressure"] = drift_and_pressure(u, self)
+        return drift
 
-    def _noise_modes(self, tag: str, raw: list) -> list[np.ndarray]:
-        """``injected`` or ``projected`` fields of ``raw`` on the retained modes."""
-        injected = [gather(self.grid, f.coeffs) * self.mol_modes for f in raw]
-        if tag == "injected":
-            return injected
-        return [project_modes(self.grid, c) for c in injected]
+    def pressure(self, u: SpectralField, cache: dict) -> ScalarField:
+        """The left-endpoint gradient pressure of u."""
+        if "pressure" not in cache:
+            self.drift(u, cache)
+        return cache["pressure"]
 
-    def noise_spectra(self, tag: str, raw: list) -> list:
-        """Noise fields from ``raw`` = [sigma_k(u)]: ``injected`` (truncated
-        psi_eps * sigma_k(u)), ``projected`` (its Leray projection, what the
-        dynamics adds) or ``curl`` (curl of the injected field)."""
+    def noise_cache(self, cache: dict) -> dict:
+        """Where the noise fields of the state with ``cache`` are cached: here,
+        once per path, when sigma_k does not depend on the state."""
+        return self._fixed if self.noise.state_free else cache
+
+    def noise_modes(self, tag: str, u: SpectralField, cache: dict) -> list[np.ndarray]:
+        """Noise fields of u on the retained modes: ``injected`` (truncated
+        psi_eps * sigma_k(u)) or ``projected`` (its Leray projection, what
+        the dynamics adds)."""
+        cache = self.noise_cache(cache)
+        if ("modes", tag) not in cache:
+            if tag == "injected":
+                raw = self.noise.eval_all(self.n_noise, u)
+                cache["modes", tag] = [gather(self.grid, f.coeffs) * self.mol_modes for f in raw]
+            elif tag == "projected":
+                injected = self.noise_modes("injected", u, cache)
+                cache["modes", tag] = [project_modes(self.grid, c) for c in injected]
+            else:
+                raise ConfigurationError(f"unknown noise field {tag!r}")
+        return cache["modes", tag]
+
+    def noise_spectra(self, tag: str, u: SpectralField, cache: dict) -> list:
+        """Noise fields of u in the full layout: ``injected``, ``projected``
+        or ``curl`` (curl of the injected field)."""
         if tag == "curl":
-            return [curl(g) for g in self.noise_spectra("injected", raw)]
-        if tag not in ("injected", "projected"):
-            raise ConfigurationError(f"unknown noise field {tag!r}")
+            return [curl(g) for g in self.noise_spectra("injected", u, cache)]
         return [SpectralField(self.grid, scatter(self.grid, c))
-                for c in self._noise_modes(tag, raw)]
+                for c in self.noise_modes(tag, u, cache)]
 
-    def take_noise_raw(self) -> list | None:
-        """The fields sigma_k(u) the last step evaluated, handed out once
-        (None when it evaluated none), so a StepView of u need not repeat
-        the evaluation."""
-        raw, self._step_raw = self._step_raw, None
-        return raw
-
-    def noise_increment(self, u: SpectralField, db: np.ndarray) -> np.ndarray:
+    def noise_increment(self, u: SpectralField, db: np.ndarray, cache: dict) -> np.ndarray:
         """Projected noise increment coefficients P[sum_k g_k dB_k], summed
         on the retained modes."""
-        cache = self.noise_cache({})
-        if "increment" not in cache:
-            self._step_raw = self.noise.eval_all(self.n_noise, u)
-            cache["increment"] = self._noise_modes("projected", self._step_raw)
-        return scatter(self.grid, sum(g * b for g, b in zip(cache["increment"], db)))
+        modes = self.noise_modes("projected", u, cache)
+        return scatter(self.grid, sum(g * b for g, b in zip(modes, db)))
 
 
 def initial_condition(u0: SpectralField, epsilon: float,
@@ -198,46 +208,41 @@ def drift_and_pressure(u: SpectralField, ws: Workspace):
 
 
 def step(u: SpectralField, j: int, params: RunParams, noise: NoiseModel | None,
-         incs: BrownianIncrements, ws: Workspace) -> tuple[SpectralField, ScalarField]:
-    """Advance u = u_j by step j; returns (u_{j+1}, pressure diagnostic of u_j).
-
-    The returned pressure is the left-endpoint gradient pressure of the
-    mollified advection, i.e. the diagnostic consistent with the projection.
-    """
-    drift, p = drift_and_pressure(u, ws)
-    c = params.dt * drift
+         incs: BrownianIncrements, ws: Workspace, cache: dict) -> SpectralField:
+    """Advance u = u_j by step j; returns u_{j+1}, leaving the pressure and
+    noise fields of u_j it computes in u_j's ``cache``."""
+    c = params.dt * ws.drift(u, cache)
     c += u.coeffs
     if params.scheme == "em_explicit":
         c += params.dt * params.nu * (-(TWO_PI**2) * ws.grid.k2) * u.coeffs
     if noise is not None and ws.n_noise > 0:
         db = incs.step_increments(j, ws.n_noise)
-        c += ws.noise_increment(u, db)
+        c += ws.noise_increment(u, db, cache)
     if params.scheme == "em_semi_implicit":
         c *= ws.heat
     u_next = SpectralField(ws.grid, c)
     # not np.vdot: a BLAS call, whose threads contend with the ensemble's workers
     if not l2_norm(u_next) <= params.energy_cap:  # also true for inf and nan
         raise BlowUpError(j)
-    return u_next, p
+    return u_next
 
 
 def em_path(params: RunParams, u0: SpectralField, noise: NoiseModel | None,
             ws: Workspace):
     """The Euler-Maruyama loop of one path, as a stream.
 
-    Yields ``(j, u_j, p_{j-1})`` for j = 0..n_steps: the state after j steps
-    and the left-endpoint pressure of the state before it (None for j = 0),
-    which step j-1 computes as a by-product. Each state is yielded before
-    the step that leaves it, so a consumer has seen u_j when step j raises
-    BlowUpError(j).
+    Yields ``(j, u_j, cache_j)`` for j = 0..n_steps: the state after j steps
+    and its cache dict, where step j leaves what it computes of u_j. Each
+    state is yielded before the step that leaves it, so a consumer has seen
+    u_j when step j raises BlowUpError(j).
     """
     incs = BrownianIncrements(params.seed, params.path_id, params.dt)
     u = initial_condition(u0, params.epsilon, params.mollifier_kind)
-    p = None
     for j in range(params.n_steps):
-        yield j, u, p
-        u, p = step(u, j, params, noise, incs, ws)
-    yield params.n_steps, u, p
+        cache: dict = {}
+        yield j, u, cache
+        u = step(u, j, params, noise, incs, ws, cache)
+    yield params.n_steps, u, {}
 
 
 @dataclass
@@ -264,11 +269,11 @@ class Trajectory:
     def recording(self, stream):
         """Pass an ``em_path`` stream through, storing every stride-th state
         (and the last)."""
-        for j, u, p_prev in stream:
+        for j, u, cache in stream:
             if j % self.params.stride == 0 or j == self.params.n_steps:
                 self.states.append(u)
                 self.stored_steps.append(j)
-            yield j, u, p_prev
+            yield j, u, cache
 
 
 def integrate(params: RunParams, u0: SpectralField,

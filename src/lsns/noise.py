@@ -194,25 +194,30 @@ class NoiseModel:
         return [forward_transform(self.grid, s)
                 for s in self.sample(ks, self.grid.m, inverse_transform(u))]
 
-    def sample(self, ks, p: int, u_phys: np.ndarray | None) -> list[np.ndarray]:
-        """sigma_k(u) for k in ``ks`` on the P grid (P >= M), pointwise from
-        the velocity samples ``u_phys`` (3, P, P, P) there (unused, and may be
-        None, for state-free noise): the one rule behind ``eval`` on the M
-        grid and the ledgers' unmollified noise on the pad."""
-        coef = [self._coefficient_samples(k, p) for k in ks]
+    def sample(self, ks, p: int, u_phys: np.ndarray | None) -> np.ndarray:
+        """sigma_k(u) for k in ``ks`` on the P grid (P >= M), stacked, pointwise
+        from the velocity samples ``u_phys`` (3, P, P, P) there (None for
+        state-free noise, which returns its cached coefficient stack): the one
+        rule behind ``eval`` on the M grid and the ledgers' noise on the pad."""
+        coef = self._coefficient_samples(ks, p)
         if self.state_free:
             return coef
         if self.kind == "linear_multiplicative":
-            return [c[None] * u_phys for c in coef]
+            return coef[:, None] * u_phys
         mod = np.sqrt(1.0 + np.sum(u_phys**2, axis=0))
-        return [c * np.cos(k * mod)[None] for k, c in zip(ks, coef)]
+        return coef * np.cos(np.asarray(ks)[:, None, None, None] * mod)[:, None]
 
-    def _coefficient_samples(self, k: int, p: int) -> np.ndarray:
-        """The k-th stored coefficient field on the P grid, cached per (k, P)."""
-        if (k, p) not in self._samples:
+    def _coefficient_samples(self, ks, p: int) -> np.ndarray:
+        """The stored coefficient fields k in ``ks`` on the P grid, stacked and
+        cached per (ks, P)."""
+        key = (tuple(ks), p)
+        if key not in self._samples:
             stored = self.vector_fields or self.scalar_fields
-            self._samples[k, p] = synthesize(stored[k - 1], p)
-        return self._samples[k, p]
+            out = np.empty((len(key[0]), *stored[0].coeffs.shape[:-3], p, p, p))
+            for i, k in enumerate(key[0]):
+                out[i] = synthesize(stored[k - 1], p)
+            self._samples[key] = out
+        return self._samples[key]
 
     # -- analytic per-family bounds -----------------------------------------
 
@@ -267,6 +272,9 @@ def make_noise_model(grid: Grid, kind: str, amplitude: float = 0.1,
         raise ConfigurationError(f"unknown noise kind {kind!r}")
     amps = amplitude * ratio ** np.arange(1, max_k + 1)
     modes = [MODE_TABLE[(k - 1) % len(MODE_TABLE)] for k in range(1, max_k + 1)]
+    for k, n in enumerate(modes, start=1):
+        if 2 * max(map(abs, n)) >= grid.m:
+            raise ConfigurationError(f"noise mode k={k} {n} lies on a Nyquist plane of M={grid.m}")
     note = f"a_k = {amplitude} * {ratio}^k, modes cycled from table"
     tail = _geometric_tail(amplitude, ratio, max_k)
     if kind == "linear_multiplicative":

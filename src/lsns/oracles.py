@@ -168,7 +168,7 @@ def _oracle_increment_summation(m: int, seed: int) -> float:
     traj = integrate(p, u0, noise)
     ws = Workspace(p, noise)
     total = np.zeros_like(u0.coeffs)
-    projected = ws.noise_spectra("projected", noise.eval_all(ws.n_noise, u0))
+    projected = ws.noise_spectra("projected", u0, {})
     for j in range(p.n_steps):
         db = traj.incs.step_increments(j, p.truncation.n)
         for g, b in zip(projected, db):

@@ -13,12 +13,13 @@ evaluated pointwise from the velocity's samples on the pad
 (``NoiseModel.sample``), so no FFT of sigma_k(u) is synthesized.
 
 Views come from the one Euler-Maruyama loop (``integrate.em_path``) via
-``views_of`` while integrating (``iter_views``), handed their pressure and
-noise fields sigma_k(u) by the step, or from the states of a stored
-stride-1 trajectory (``views_from_trajectory``), which compute them with
-the step's functions; both give the same values, so replayed diagnostics
-reproduce inline ones bit-exactly. ``drive`` is the one driver: it feeds a view stream to
-ledgers, ``begin(v0)`` then ``advance(v_j, v_j+1)`` per step.
+``views_of`` while integrating (``iter_views``), each sharing its state's
+cache dict with the step, which leaves the pressure and noise fields there,
+or from the states of a stored stride-1 trajectory (``views_from_trajectory``)
+with an empty cache, computing them through the same ``Workspace`` accessors;
+so replayed diagnostics reproduce inline ones bit-exactly. ``drive`` is the
+one driver: it feeds a view stream to ledgers, ``begin(v0)`` then
+``advance(v_j, v_j+1)`` per step.
 
 Every ledger is a ``Ledger``: a table of per-row series declared once, in CSV
 order (``SERIES``), from which its rows, path-record payload, restore from a
@@ -40,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .integrate import RunParams, Trajectory, Workspace, drift_and_pressure, em_path
+from .integrate import RunParams, Trajectory, Workspace, em_path
 from .mollifier import mollify
 from .noise import NoiseModel
 from .persist import write_csv
@@ -59,16 +60,15 @@ PAD_FACTOR = 2
 class StepView:
     """One state of one path plus lazily cached physical-space syntheses."""
 
-    def __init__(self, ws: Workspace, u: SpectralField, index: int):
+    def __init__(self, ws: Workspace, u: SpectralField, index: int,
+                 cache: dict | None = None):
         self.ws = ws
         self.grid = ws.grid
         self.u = u
         self.index = index
         self.t = index * ws.params.dt
-        self._pressure = None  # set by ``views_of`` from the step, else computed on demand
-        self._noise_raw = None  # likewise sigma_k(u), where the step evaluated them
         self.pad = PAD_FACTOR * ws.grid.m
-        self._cache: dict = {}
+        self._cache = {} if cache is None else cache  # shared with the step of u
 
     def exact_grid(self, degree: int) -> int:
         """Smallest even P from M up to ``pad`` on which the Riemann mean of a
@@ -76,10 +76,11 @@ class StepView:
         ``pad`` where none is."""
         return min(self.pad, max(self.grid.m, 2 * (degree // 2 + 1)))
 
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
+    def _get(self, key, builder, cache: dict | None = None):
+        cache = self._cache if cache is None else cache
+        if key not in cache:
+            cache[key] = builder()
+        return cache[key]
 
     def _grad_phys(self, key, p: int, coeffs):
         """A (3, 3, ...) gradient coefficient array, synthesized row by row."""
@@ -97,9 +98,7 @@ class StepView:
 
     @property
     def pressure(self) -> ScalarField:
-        if self._pressure is None:
-            self._pressure = drift_and_pressure(self.u, self.ws)[1]
-        return self._pressure
+        return self.ws.pressure(self.u, self._cache)
 
     @property
     def state_l2(self) -> float:
@@ -154,39 +153,33 @@ class StepView:
     # -- noise fields at the left endpoint ------------------------------------
 
     def noise_phys(self, tag: str, p: int) -> np.ndarray:
-        """The noise fields ``tag`` on the P grid, stacked (N, 3, P, P, P);
-        once per path when the noise is state-free. ``raw`` is sigma_k(u)
-        evaluated pointwise from u's samples on that grid
-        (``NoiseModel.sample``); the others (see ``Workspace.noise_spectra``)
+        """The noise fields ``tag`` on the P grid, stacked (N, 3, P, P, P).
+        ``raw`` is sigma_k(u) evaluated pointwise from u's samples on that
+        grid (``NoiseModel.sample``); the others (see ``Workspace.noise_modes``)
         are synthesized from their spectra."""
         ws = self.ws
         if ws.noise is None:
             return []
-        cache = ws.noise_cache(self._cache)
-        if ("noise", tag, p) not in cache:
-            ks = range(1, ws.n_noise + 1)
-            if tag == "raw":
-                u = None if ws.noise.state_free else self.u_phys(p)
-                fields = ws.noise.sample(ks, p, u)
-            else:
-                if self._noise_raw is None:
-                    self._noise_raw = ws.noise.eval_all(ws.n_noise, self.u)
-                fields = [synthesize(g, p) for g in ws.noise_spectra(tag, self._noise_raw)]
-            cache["noise", tag, p] = np.stack(fields)
-        return cache["noise", tag, p]
+
+        def build():
+            if tag != "raw":
+                return np.stack([synthesize(g, p) for g in ws.noise_spectra(tag, self.u, self._cache)])
+            return ws.noise.sample(range(1, ws.n_noise + 1), p,
+                                   None if ws.noise.state_free else self.u_phys(p))
+
+        return self.noise_derived(("noise", tag, p), build)
+
+    def noise_derived(self, key, builder):
+        """A value that depends on the state through its noise fields alone,
+        cached with them (``Workspace.noise_cache``): once per path for
+        state-free noise."""
+        return self._get(key, builder, self.ws.noise_cache(self._cache))
 
 
 def views_of(stream, ws: Workspace):
-    """StepViews over an ``em_path`` stream: each view receives its pressure,
-    and the noise fields sigma_k(u) if that step evaluated them, from the
-    step that leaves it, before the next view is yielded."""
-    prev = None
-    for j, u, p_prev in stream:
-        if prev is not None:
-            prev._pressure = p_prev
-            prev._noise_raw = ws.take_noise_raw()
-        prev = StepView(ws, u, j)
-        yield prev
+    """StepViews over an ``em_path`` stream, each sharing its state's cache
+    with the step that leaves it."""
+    return (StepView(ws, u, j, cache) for j, u, cache in stream)
 
 
 def iter_views(params: RunParams, u0: SpectralField, noise: NoiseModel | None):
@@ -196,8 +189,8 @@ def iter_views(params: RunParams, u0: SpectralField, noise: NoiseModel | None):
 
 
 def views_from_trajectory(traj: Trajectory):
-    """Replay StepViews from stored states; each computes its pressure from
-    its state, as the step did, so they are identical to inline views."""
+    """Replay StepViews from stored states; each computes what the step left
+    in the cache as the step did, so they are identical to inline views."""
     traj.require_stride_one("ledger replay")
     for j, u in enumerate(traj.states):
         yield StepView(traj.workspace, u, j)

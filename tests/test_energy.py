@@ -75,10 +75,11 @@ def test_before_support_everything_zero():
             assert led.local_energy[i] == 0.0
 
 
-def test_spatial_integrals_match_refined_riemann_oracle():
+@pytest.mark.parametrize("exponent", [2, 4])
+def test_spatial_integrals_match_refined_riemann_oracle(exponent):
     # each per-step spatial integral compared against a Riemann sum on a
     # 3x refined grid (exact for band-limited integrands)
-    phi = TestFunction(SpatialBump(exponent=2), window(0.125))
+    phi = TestFunction(SpatialBump(exponent=exponent), window(0.125))
     p = params(dt=1.0 / 32, t_end=0.125)
     noise = make_noise_model(G8, "additive", amplitude=0.3, max_k=6)
     u0 = random_solenoidal(G8, seed=5, amp=0.7)
@@ -96,6 +97,8 @@ def test_spatial_integrals_match_refined_riemann_oracle():
     led.begin(views[0])
     for a, b in zip(views, views[1:]):
         led.advance(a, b)
+    # the quadratic terms on the smallest exact grid: P > 2K + exponent
+    assert led._pq == {2: 8, 4: 10}[exponent]
 
     # local energy at t_2
     assert phi.theta(v.t) > 0
@@ -124,7 +127,7 @@ def test_spatial_integrals_match_refined_riemann_oracle():
 
 
 @pytest.mark.parametrize("ledger", ["energy", "vorticity"])
-@pytest.mark.parametrize("noise_kind", ["additive", "cosine"])
+@pytest.mark.parametrize("noise_kind", ["additive", "linear_multiplicative", "cosine"])
 def test_replay_views_reproduce_inline_bitwise(noise_kind, ledger):
     # a stored stride-1 trajectory driven through drive() gives every series
     # of the inline ledger bit for bit
@@ -140,6 +143,34 @@ def test_replay_views_reproduce_inline_bitwise(noise_kind, ledger):
     for name, series in inline.columns.items():
         assert series == replay.columns[name], name
     assert list(inline.rows()) == list(replay.rows())
+
+
+@pytest.mark.parametrize("noise_kind", ["additive", "linear_multiplicative"])
+def test_inline_path_evaluates_noise_and_drift_once_per_state(noise_kind, monkeypatch):
+    # the step leaves the pressure and sigma_k(u) in its state's cache, so the
+    # ledger's view of that state evaluates neither again; state-free noise
+    # is evaluated once per path
+    import lsns.integrate
+    from lsns.noise import NoiseModel
+
+    calls = {"eval_all": 0, "drift_and_pressure": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return f(*args, **kw)
+        return wrapper
+
+    monkeypatch.setattr(NoiseModel, "eval_all", counted("eval_all", NoiseModel.eval_all))
+    monkeypatch.setattr(lsns.integrate, "drift_and_pressure",
+                        counted("drift_and_pressure", lsns.integrate.drift_and_pressure))
+    p = params(dt=1.0 / 32, t_end=0.125)
+    noise = make_noise_model(G8, noise_kind, amplitude=0.2, max_k=6)
+    led = run_ledger(p, taylor_green(G8, 0.5), noise,
+                     TestFunction(SpatialBump(exponent=2), window(0.125)))
+    assert led.compensator[-1] > 0.0 and led.flux[-1] != 0.0  # both were read
+    assert calls["drift_and_pressure"] == p.n_steps
+    assert calls["eval_all"] == (1 if noise_kind == "additive" else p.n_steps)
 
 
 def test_noise_off_residual_first_order_in_dt():
@@ -170,9 +201,8 @@ def test_frozen_drift_exact_ito_oracle():
     ws = Workspace(p, noise)
     pr = 2 * G8.m
     s = phi.spatial_values(pr)
-    raw = noise.eval_all(ws.n_noise, u0)
-    g_phys = [synthesize(g, pr) for g in ws.noise_spectra("projected", raw)]
-    g_unproj = [synthesize(g, pr) for g in ws.noise_spectra("injected", raw)]
+    g_phys = [synthesize(g, pr) for g in ws.noise_spectra("projected", u0, {})]
+    g_unproj = [synthesize(g, pr) for g in ws.noise_spectra("injected", u0, {})]
     ito = 0.0
     for j in range(p.n_steps):
         u_phys = synthesize(traj.states[j], pr)

@@ -544,6 +544,17 @@ def test_wide_test_function_fails_at_parse_time(tmp_path):
     ExperimentConfig.parse(doc)
 
 
+def test_nyquist_noise_modes_fail_at_parse_time(tmp_path):
+    # at M = 4 the built-in table modes from k = 11 on lie on a Nyquist plane
+    doc = base_config(tmp_path)
+    doc["run"]["m"] = 4
+    doc["noise"]["max_k"] = 10
+    ExperimentConfig.parse(doc)
+    doc["noise"]["max_k"] = 11
+    with pytest.raises(ConfigurationError, match=r"k=11 .*M=4"):
+        ExperimentConfig.parse(doc)
+
+
 def test_strided_snapshots_with_ledgers(tmp_path):
     csvs = {}
     for stride in (1, 2):

@@ -118,7 +118,7 @@ def test_additive_increment_summation_oracle():
     traj = integrate(p, u0, noise)
     ws = Workspace(p, noise)
     n = p.truncation.n
-    projected = ws.noise_spectra("projected", noise.eval_all(ws.n_noise, u0))
+    projected = ws.noise_spectra("projected", u0, {})
     total = np.zeros_like(u0.coeffs)
     for j in range(p.n_steps):
         db = traj.incs.step_increments(j, n)
@@ -216,7 +216,7 @@ def test_noise_term_path_matches_increments_exactly_for_linear_hook():
     traj = integrate(p, random_solenoidal(G8, seed=14), noise)
     series = noise_term_path(traj)
     ws = Workspace(p, noise)
-    projected = ws.noise_spectra("projected", noise.eval_all(ws.n_noise, traj.states[0]))
+    projected = ws.noise_spectra("projected", traj.states[0], {})
     acc = np.zeros_like(traj.states[0].coeffs)
     for j in range(p.n_steps):
         db = traj.incs.step_increments(j, p.truncation.n)
@@ -265,7 +265,7 @@ def test_fractional_sobolev_brownian_bound():
         series = noise_term_path(traj)
         wnorm = fractional_sobolev_norm(series, alpha=0.25, r=2.0, dt=pp.dt)
         ws = Workspace(pp, noise)
-        projected = ws.noise_spectra("projected", noise.eval_all(ws.n_noise, traj.states[0]))
+        projected = ws.noise_spectra("projected", traj.states[0], {})
         rhs = p.dt * sum(
             sum(l2_norm(g) ** 2 for g in projected)
             for _ in range(pp.n_steps)
@@ -342,7 +342,7 @@ def test_state_dependent_increment_matches_full_layout(kind, grid):
         acc += mollify(s, ws.mol).coeffs * grid.dealias_mask * b
     want = leray_project(SpectralField(grid, acc)).coeffs
 
-    got = ws.noise_increment(u, db)
+    got = ws.noise_increment(u, db, {})
     assert np.max(np.abs(want)) > 0.0
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     phys = np.fft.ifftn(got * grid.m ** 3, axes=(-3, -2, -1))

@@ -172,3 +172,13 @@ def test_validator_monotone_in_samples():
     r1 = validate_linear_growth(model, few, n=6)
     r2 = validate_linear_growth(model, more, n=6)
     assert r2.empirical >= r1.empirical
+
+
+def test_table_modes_on_the_nyquist_plane_are_rejected():
+    # at M = 4 the table modes from k = 11 on have |n_i| = 2 = M/2, where the
+    # +-n partners share one slot
+    g4 = Grid(4)
+    model = make_noise_model(g4, "additive", amplitude=0.1, ratio=0.5, max_k=10)
+    assert np.allclose(model.l2_norms(), 0.1 * 0.5 ** np.arange(1, 11), rtol=1e-12)
+    with pytest.raises(ConfigurationError, match=r"k=11 .*M=4"):
+        make_noise_model(g4, "additive", amplitude=0.1, ratio=0.5, max_k=11)
