@@ -209,13 +209,15 @@ class NoiseModel:
 
     def _coefficient_samples(self, ks, p: int) -> np.ndarray:
         """The stored coefficient fields k in ``ks`` on the P grid, stacked and
-        cached per (ks, P)."""
+        cached per (ks, P); read-only, since state-free noise hands the cached
+        stack itself to every consumer."""
         key = (tuple(ks), p)
         if key not in self._samples:
             stored = self.vector_fields or self.scalar_fields
             out = np.empty((len(key[0]), *stored[0].coeffs.shape[:-3], p, p, p))
             for i, k in enumerate(key[0]):
                 out[i] = synthesize(stored[k - 1], p)
+            out.flags.writeable = False
             self._samples[key] = out
         return self._samples[key]
 

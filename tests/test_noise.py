@@ -64,6 +64,14 @@ def test_additive_eval_ignores_state():
         model.eval(0, u1)
 
 
+def test_state_free_samples_are_one_read_only_stack():
+    model = make_noise_model(G, "additive", max_k=4)
+    stack = model.sample(range(1, 5), 16, None)
+    assert model.sample(range(1, 5), 16, None) is stack
+    with pytest.raises(ValueError):
+        stack[0] = 0.0
+
+
 def test_multiplicative_constant_scalar_scales_field():
     c = 0.37
     const = single_mode_scalar_field(G, (1, 0, 0), amplitude=c, flatness=0.0)

@@ -1,15 +1,15 @@
 """List the benchmark workloads' output files that differ between two checkouts.
 
-    python3 tools/compare_outputs.py --base ../parent-checkout [--seed 2026] [--t-end 0.0625]
+    python3 tools/compare_outputs.py --base ../parent-checkout
 
 For each workload of ``BENCHMARK.json`` the config of ``perfbench/workloads.py``
-(imported read-only from this checkout) is run with 2 paths, one worker and a
-short horizon, followed by the workload's ``report`` and ``replay``, once with
-this checkout's ``src/`` and once with the ``src/`` of ``--base``. Every output
-file is then compared byte for byte, after dropping the fields that embed the
-output directory or the wall clock: ``wall_clock_seconds``, ``config_digest``
-and a manifest's ``directory``. Prints one line per differing or missing file
-and exits 1 if there is any.
+(imported read-only from this checkout) is run at ``workloads.DEFAULT_SEED``
+with 2 paths, one worker and the horizon ``T_END``, followed by the workload's
+``report`` and ``replay``, once with this checkout's ``src/`` and once with the
+``src/`` of ``--base``. Every output file is compared byte for byte after
+dropping the fields that embed the output directory or the wall clock
+(``wall_clock_seconds``, ``config_digest`` and a manifest's ``directory``).
+Prints one line per differing or missing file and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
-IGNORED = {"wall_clock_seconds", "config_digest"}
+T_END = 1.0 / 16
 
 RUN = """
 import json, sys
@@ -43,54 +43,46 @@ for manifest in sorted(outdir.glob("trajectory_*/manifest.json")):
 """
 
 
-def run(checkout: Path, wl, seed: int, t_end: float, outdir: Path):
-    doc = wl.config(seed, outdir, workers=1, paths=2, t_end=t_end)
-    spec = wl.replay_spec(t_end) if wl.replay else None
-    arg = json.dumps([doc, spec, wl.report])
+def run(checkout: Path, wl, outdir: Path) -> dict[Path, bytes]:
+    """Run ``wl`` with ``checkout``'s ``src/`` into ``outdir``; its files' comparable bytes."""
+    doc = wl.config(workloads.DEFAULT_SEED, outdir, workers=1, paths=2, t_end=T_END)
+    arg = json.dumps([doc, wl.replay_spec(T_END) if wl.replay else None, wl.report])
     subprocess.run([sys.executable, "-c", RUN, arg], check=True,
                    env={**os.environ, "PYTHONPATH": str(checkout / "src")})
-
-
-def _drop(obj, keys):
-    if isinstance(obj, dict):
-        return {k: _drop(v, keys) for k, v in obj.items() if k not in keys}
-    if isinstance(obj, list):
-        return [_drop(v, keys) for v in obj]
-    return obj
+    return {p.relative_to(outdir): content(p) for p in outdir.rglob("*") if p.is_file()}
 
 
 def content(path: Path) -> bytes:
     if path.suffix != ".json":
         return path.read_bytes()
-    keys = IGNORED | ({"directory"} if path.name == "manifest.json" else set())
-    return json.dumps(_drop(json.loads(path.read_text()), keys), sort_keys=True).encode()
+    keys = {"wall_clock_seconds", "config_digest"}
+    if path.name == "manifest.json":
+        keys.add("directory")
+
+    def drop(obj):
+        if isinstance(obj, dict):
+            return {k: drop(v) for k, v in obj.items() if k not in keys}
+        return [drop(v) for v in obj] if isinstance(obj, list) else obj
+    return json.dumps(drop(json.loads(path.read_text())), sort_keys=True).encode()
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", type=Path, required=True, help="checkout to compare against")
-    ap.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
-    ap.add_argument("--t-end", type=float, default=1.0 / 16)
-    args = ap.parse_args(argv)
-    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    base = ap.parse_args(argv).base.resolve()
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for name in names:
-            trees = {side: Path(tmp) / side / name for side in ("base", "head")}
-            run(args.base.resolve(), workloads.WORKLOADS[name], args.seed, args.t_end,
-                trees["base"])
-            run(ROOT, workloads.WORKLOADS[name], args.seed, args.t_end, trees["head"])
-            files = {side: {p.relative_to(t) for p in t.rglob("*") if p.is_file()}
-                     for side, t in trees.items()}
-            for rel in sorted(files["base"] | files["head"]):
-                if rel not in files["base"] or rel not in files["head"]:
-                    print(f"{name}: {rel} only in {'head' if rel in files['head'] else 'base'}")
-                elif content(trees["base"] / rel) != content(trees["head"] / rel):
-                    print(f"{name}: {rel} differs")
-                else:
-                    continue
-                differ += 1
-            print(f"{name}: {len(files['head'])} files compared", file=sys.stderr)
+        for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]:
+            name, wl = w["name"], workloads.WORKLOADS[w["name"]]
+            old = run(base, wl, Path(tmp) / "base" / name)
+            new = run(ROOT, wl, Path(tmp) / "head" / name)
+            for rel in sorted(old.keys() | new.keys()):
+                if old.get(rel) != new.get(rel):
+                    side = "differs" if rel in old and rel in new else \
+                        f"only in {'head' if rel in new else 'base'}"
+                    print(f"{name}: {rel} {side}")
+                    differ += 1
+            print(f"{name}: {len(new)} files compared", file=sys.stderr)
     print(f"{differ} differing files")
     return 1 if differ else 0
 
