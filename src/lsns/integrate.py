@@ -181,8 +181,7 @@ class Workspace:
                 for c in self.noise_modes(tag, u, cache)]
 
     def noise_increment(self, u: SpectralField, db: np.ndarray, cache: dict) -> np.ndarray:
-        """Projected noise increment coefficients P[sum_k g_k dB_k], summed
-        on the retained modes."""
+        """Projected noise increment P[sum_k g_k dB_k], summed on the retained modes."""
         modes = self.noise_modes("projected", u, cache)
         return scatter(self.grid, sum(g * b for g, b in zip(modes, db)))
 

@@ -208,9 +208,8 @@ class NoiseModel:
         return coef * np.cos(np.asarray(ks)[:, None, None, None] * mod)[:, None]
 
     def _coefficient_samples(self, ks, p: int) -> np.ndarray:
-        """The stored coefficient fields k in ``ks`` on the P grid, stacked and
-        cached per (ks, P); read-only, since state-free noise hands the cached
-        stack itself to every consumer."""
+        """The stored coefficient fields k in ``ks`` on the P grid, stacked, cached per
+        (ks, P) and read-only: state-free noise hands this stack to every consumer."""
         key = (tuple(ks), p)
         if key not in self._samples:
             stored = self.vector_fields or self.scalar_fields
