@@ -14,8 +14,10 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .dissipation import DRConfig, DRLedger
-from .energy import XI_FUNCTIONALS, EnergyLedger, Event
+from .energy import XI_FUNCTIONALS, EnergyLedger, Event, window_indices
 from .errors import ConfigurationError
 from .integrate import RunParams
 from .noise import KINDS as NOISE_KINDS
@@ -133,7 +135,7 @@ class ExperimentConfig:
         cfg.run_params(path_id=0)
         cfg.noise_model()
         initial_field(cfg)
-        cfg.events()
+        cfg.supermartingale_window()
         cfg.ledgers()
         cfg.xi_functionals()
         return cfg
@@ -205,7 +207,7 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"noise.coefficient_files[{i}]: wrong field kind for {kind}"
                 )
-            if has_nyquist(fld):  # no exact samples on the ledgers' finer grids
+            if has_nyquist(fld.coeffs):  # no exact samples on the ledgers' finer grids
                 raise ConfigurationError(
                     f"noise.coefficient_files[{i}] ({f}): content on a Nyquist plane "
                     f"(|n_i| = M/2 = {grid.m // 2})"
@@ -251,6 +253,18 @@ class ExperimentConfig:
             kind = _need(spec, "kind", str, f"events[{i}]")
             out.append(Event(kind, at=_opt(spec, "at", 0.0), q=_opt(spec, "q", 0.5)))
         return out
+
+    def supermartingale_window(self) -> tuple[float, float] | None:
+        """The (s, t) of the supermartingale test, checked against the step
+        grid as the test will check it (``energy.window_indices``)."""
+        events = self.events()  # checked here even where no test reads them
+        block = self.diagnostics().get("supermartingale")
+        if block is None:
+            return None
+        s, t = (_need(block, key, float, "diagnostics.supermartingale") for key in "st")
+        p = self.run_params(path_id=0)
+        window_indices(np.arange(p.n_steps + 1) * p.dt, s, t, events)
+        return s, t
 
     def dr_config(self) -> DRConfig | None:
         block = self.diagnostics().get("dissipation")

@@ -202,11 +202,13 @@ class Event:
     at: float = 0.0
     q: float = 0.5
 
-    def indicators(self, ledgers: list[EnergyLedger], s: float) -> np.ndarray:
-        if self.kind != "all" and self.at > s + 1e-12:
-            raise ConfigurationError(
-                f"event at t={self.at} peeks beyond conditioning time s={s}"
-            )
+    def __post_init__(self):
+        if self.kind not in ("all", "low_energy", "high_energy"):
+            raise ConfigurationError(f"unknown event kind {self.kind!r}")
+        if not 0.0 <= self.q <= 1.0:
+            raise ConfigurationError(f"event quantile q={self.q} outside [0, 1]")
+
+    def indicators(self, ledgers: list[EnergyLedger]) -> np.ndarray:
         n = len(ledgers)
         if self.kind == "all":
             return np.ones(n)
@@ -215,9 +217,7 @@ class Event:
         thresh = np.quantile(vals, self.q)
         if self.kind == "low_energy":
             return (vals <= thresh).astype(float)
-        if self.kind == "high_energy":
-            return (vals > thresh).astype(float)
-        raise ConfigurationError(f"unknown event kind {self.kind!r}")
+        return (vals > thresh).astype(float)
 
 
 @dataclass(frozen=True)
@@ -255,20 +255,30 @@ def _one_sided_stat(vals: np.ndarray) -> tuple[float, float, float]:
     return mean, stderr, stat
 
 
+def window_indices(times, s: float, t: float, events: list[Event]) -> tuple[int, int]:
+    """The indices of s and t on the step grid ``times`` for a one-sided test
+    conditioned at s: s <= t, and every event resolved on the grid by s."""
+    if t < s:
+        raise ConfigurationError("need s <= t")
+    for ev in events:
+        if ev.kind != "all":
+            if ev.at > s + 1e-12:
+                raise ConfigurationError(f"event at t={ev.at} peeks beyond conditioning time s={s}")
+            index_at(times, ev.at)
+    return index_at(times, s), index_at(times, t)
+
+
 def one_sided_test(ledgers: list, process, s: float, t: float, events: list[Event],
                    threshold: float, what: str):
     """(statistics, passed) of the one-sided test E[(X_t - X_s) 1_A] <= 0 of
     the process X = process(ledger, step index), per event A."""
     if len(ledgers) < 2:
         raise ConfigurationError(f"{what} test needs an ensemble")
-    if t < s:
-        raise ConfigurationError("need s <= t")
-    i_s = index_at(ledgers[0].time, s)
-    i_t = index_at(ledgers[0].time, t)
+    i_s, i_t = window_indices(ledgers[0].time, s, t, events)
     dx = np.array([process(led, i_t) - process(led, i_s) for led in ledgers])
     stats = []
     for ev in events:
-        ind = ev.indicators(ledgers, s)
+        ind = ev.indicators(ledgers)
         mean, stderr, stat = _one_sided_stat(dx * ind)
         stats.append(EventStatistic(ev.kind, mean, stderr, stat, int(ind.sum())))
     return tuple(stats), all(st.statistic <= threshold for st in stats)

@@ -151,9 +151,9 @@ def summarize(cfg: ExperimentConfig, records: list[dict], wall_clock: float) -> 
         block["qv_gap"], block["qv_consistency_pass"] = zero_mean(
             f"{key}/qv_gap", [led.qv_realized[-1] - led.qv_predicted[-1] for led in ledgers])
 
-        st = diag.get("supermartingale")
-        if st is not None and len(ledgers) >= 2:
-            rep = supermartingale_test(ledgers, st["s"], st["t"], cfg.events())
+        window = cfg.supermartingale_window()
+        if window is not None and len(ledgers) >= 2:
+            rep = supermartingale_test(ledgers, *window, cfg.events())
             worst = max(s.statistic for s in rep.statistics)
             block["supermartingale"] = {
                 "criterion": "supermartingale_3sigma_one_sided",
@@ -284,8 +284,6 @@ def replay(manifest_path, diagnostics_spec: dict, output_dir=None) -> dict:
     doc = json.loads(json.dumps(run_config))
     doc["diagnostics"] = diagnostics_spec
     cfg = ExperimentConfig.parse(doc)
-    if manifest["params"]["stride"] != 1:
-        raise ConfigurationError("replay diagnostics require a stride-1 trajectory")
     traj = load_trajectory(manifest_path.parent, cfg.noise_model())
     ledgers = drive(views_from_trajectory(traj), cfg.ledgers())
 

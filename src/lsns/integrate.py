@@ -19,8 +19,10 @@ The drift, the pressure and the noise increment are computed on the
 retained half-spectrum (``spectral.product_modes``: the (2K+1)^2 (K+1)
 modes inside the cut with n_z >= 0) and scattered back to the full
 (3, M, M, M) layout the state keeps. Every noise family takes one path:
-psi_eps * sigma_k(u) is gathered onto those modes, projected and summed
-there.
+sigma_1(u) .. sigma_N(u) arrive on those modes as one (N, 3, R) stack
+(``NoiseModel.eval_all``), which is mollified, projected and summed there;
+the ledgers' noise fields (``Workspace.noise_modes``) are stacks on the same
+modes, synthesized by one ``spectral.synthesize`` call per field kind.
 
 ``em_path`` is the one Euler-Maruyama loop of the package: ``integrate``
 folds its stream into a ``Trajectory`` of stored states, the StepView
@@ -49,7 +51,7 @@ from .spectral import (
     ScalarField,
     SpectralField,
     TWO_PI,
-    curl,
+    curl_modes,
     divergence_and_pressure,
     gather,
     l2_norm,
@@ -131,14 +133,12 @@ class Workspace:
         self.mol = make_mollifier(g, params.epsilon, params.mollifier_kind)
         self.mol_modes = gather(g, self.mol.multiplier)
         self.heat = np.exp(-4.0 * np.pi**2 * params.nu * g.k2 * params.dt)
-        self.n_noise = 0
+        self.n_noise = 0 if noise is None else params.truncation.n
         self._fixed: dict = {}  # noise fields of state-free noise, built once per path
-        if noise is not None:
-            self.n_noise = min(params.truncation.n, noise.max_k)
-            if params.truncation.n > noise.max_k:
-                raise ConfigurationError(
-                    f"N(eps)={params.truncation.n} exceeds the noise model's max_k={noise.max_k}"
-                )
+        if noise is not None and self.n_noise > noise.max_k:
+            raise ConfigurationError(
+                f"N(eps)={self.n_noise} exceeds the noise model's max_k={noise.max_k}"
+            )
 
     def drift(self, u: SpectralField, cache: dict) -> np.ndarray:
         """The projected drift of u; leaves u's pressure in ``cache``."""
@@ -156,29 +156,19 @@ class Workspace:
         once per path, when sigma_k does not depend on the state."""
         return self._fixed if self.noise.state_free else cache
 
-    def noise_modes(self, tag: str, u: SpectralField, cache: dict) -> list[np.ndarray]:
-        """Noise fields of u on the retained modes: ``injected`` (truncated
-        psi_eps * sigma_k(u)) or ``projected`` (its Leray projection, what
-        the dynamics adds)."""
+    def noise_modes(self, tag: str, u: SpectralField, cache: dict) -> np.ndarray:
+        """Noise fields of u on the retained modes, stacked (N, 3, R):
+        ``injected`` (truncated psi_eps * sigma_k(u)), ``projected`` (its
+        Leray projection, what the dynamics adds) or ``curl`` (curl of the
+        injected field)."""
         cache = self.noise_cache(cache)
         if ("modes", tag) not in cache:
             if tag == "injected":
-                raw = self.noise.eval_all(self.n_noise, u)
-                cache["modes", tag] = [gather(self.grid, f.coeffs) * self.mol_modes for f in raw]
-            elif tag == "projected":
-                injected = self.noise_modes("injected", u, cache)
-                cache["modes", tag] = [project_modes(self.grid, c) for c in injected]
+                cache["modes", tag] = self.noise.eval_all(self.n_noise, u) * self.mol_modes
             else:
-                raise ConfigurationError(f"unknown noise field {tag!r}")
+                kernel = {"projected": project_modes, "curl": curl_modes}[tag]
+                cache["modes", tag] = kernel(self.grid, self.noise_modes("injected", u, cache))
         return cache["modes", tag]
-
-    def noise_spectra(self, tag: str, u: SpectralField, cache: dict) -> list:
-        """Noise fields of u in the full layout: ``injected``, ``projected``
-        or ``curl`` (curl of the injected field)."""
-        if tag == "curl":
-            return [curl(g) for g in self.noise_spectra("injected", u, cache)]
-        return [SpectralField(self.grid, scatter(self.grid, c))
-                for c in self.noise_modes(tag, u, cache)]
 
     def noise_increment(self, u: SpectralField, db: np.ndarray, cache: dict) -> np.ndarray:
         """Projected noise increment P[sum_k g_k dB_k], summed on the retained modes."""

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ConfigurationError, GridMismatchError
-from .spectral import Field, Grid, ScalarField, SpectralField
+from .spectral import Field, Grid
 
 KINDS = ("paper_bump", "gaussian")
 
@@ -153,9 +153,7 @@ def make_mollifier(grid: Grid, epsilon: float, kind: str = "paper_bump") -> Moll
 def mollify(f: Field, m: Mollifier) -> Field:
     if f.grid != m.grid:
         raise GridMismatchError("field and mollifier live on different grids")
-    if f.coeffs.ndim == 4:
-        return SpectralField(f.grid, f.coeffs * m.multiplier[None])
-    return ScalarField(f.grid, f.coeffs * m.multiplier)
+    return type(f)(f.grid, f.coeffs * m.multiplier)
 
 
 def multiplier_on_modes(kind: str, epsilon: float, k2: np.ndarray,

@@ -13,11 +13,17 @@ known in closed form. The additive/cosine vector fields are chosen
 divergence-free. Arbitrary coefficient fields (e.g. loaded from snapshot
 files) are accepted as well.
 
+sigma_k(u) is evaluated pointwise from the velocity's samples (``sample``):
+on the ledgers' pad, and on the M grid, from where ``eval_all`` takes
+sigma_1(u) .. sigma_N(u) onto the retained modes as one (N, 3, R) stack
+by one batched rfftn.
+
 The true suprema in the three conditions run over all of L^2/H^1 and are not
 computable; the validators report the empirical supremum over a supplied
-sample ensemble next to the family's analytic constant. Samples are expected
-divergence-free (and, for the multiplicative vorticity bound, mean-free so
-the Poincare inequality applies); this restriction is recorded in the report.
+sample ensemble (of the untruncated fields, sampled on the M grid) next to
+the family's analytic constant. Samples are expected divergence-free (and,
+for the multiplicative vorticity bound, mean-free so the Poincare
+inequality applies); this restriction is recorded in the report.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft as sfft
 
 from .errors import ConfigurationError
 from .spectral import (
@@ -34,8 +41,9 @@ from .spectral import (
     SpectralField,
     curl,
     forward_transform,
+    gather,
+    gradient,
     h1_seminorm,
-    inverse_transform,
     l2_norm,
     synthesize,
 )
@@ -110,6 +118,16 @@ def single_mode_scalar_field(grid: Grid, n: tuple[int, int, int],
     return ScalarField(grid, c)
 
 
+def _refined_sups(fields) -> np.ndarray:
+    """sup |f| of each field on the 2M grid, synthesized one at a time: the
+    stack of max_k fields there would hold them all at once."""
+    sups = []
+    for f in fields:
+        vals = synthesize(f, 2 * f.grid.m)
+        sups.append(float(np.max(np.sqrt(np.sum(vals.reshape(-1, *vals.shape[-3:]) ** 2, axis=0)))))
+    return np.array(sups)
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """One of the three coefficient families, truncated at max_k for storage."""
@@ -141,14 +159,7 @@ class NoiseModel:
 
     def sup_norms(self) -> np.ndarray:
         """C^0 norms estimated on a refined grid (exact for single-mode built-ins)."""
-        out = []
-        for f in (self.vector_fields or self.scalar_fields):
-            vals = synthesize(f, 2 * self.grid.m)
-            if vals.ndim == 4:
-                out.append(float(np.max(np.sqrt(np.sum(vals**2, axis=0)))))
-            else:
-                out.append(float(np.max(np.abs(vals))))
-        return np.array(out)
+        return _refined_sups(self.vector_fields or self.scalar_fields)
 
     def curl_norms(self) -> np.ndarray:
         """||curl sigma_k||_L2 for the vector families (zeros for multiplicative)."""
@@ -160,13 +171,7 @@ class NoiseModel:
         """sup |grad c_k| for the multiplicative family (refined-grid estimate)."""
         if self.kind != "linear_multiplicative":
             return np.zeros(self.max_k)
-        from .spectral import gradient
-
-        out = []
-        for f in self.scalar_fields:
-            g = synthesize(gradient(f), 2 * self.grid.m)
-            out.append(float(np.max(np.sqrt(np.sum(g**2, axis=0)))))
-        return np.array(out)
+        return _refined_sups([gradient(f) for f in self.scalar_fields])
 
     # -- evaluation ----------------------------------------------------------
 
@@ -175,66 +180,62 @@ class NoiseModel:
         """Whether sigma_k(u) is the same field for every u (additive noise)."""
         return self.kind == "additive"
 
-    def eval(self, k: int, u: SpectralField) -> SpectralField:
-        """sigma_k(u) as a spectral field; k is 1-based; result not solenoidal
-        in general. Pointwise nonlinearities are sampled on the native grid."""
-        if not (1 <= k <= self.max_k):
-            raise ConfigurationError(f"noise index k={k} outside 1..{self.max_k}")
-        return self._evaluate([k], u)[0]
+    def eval_all(self, n: int, u: SpectralField) -> np.ndarray:
+        """sigma_1(u) .. sigma_n(u) on the retained modes, stacked (n, 3, R):
+        the stored fields for state-free noise, else the samples on the M
+        grid (``sample``) in one batched rfftn. Not solenoidal in general."""
+        ks, g = self._ks(n), self.grid
+        if self.state_free:
+            return np.stack([gather(g, self.vector_fields[k - 1].coeffs) for k in ks])
+        s = self.sample(ks, g.m, synthesize(u, g.m))
+        return sfft.rfftn(s, axes=(-3, -2, -1), norm="forward").reshape(n, 3, -1)[..., g.modes.half]
 
-    def eval_all(self, n: int, u: SpectralField) -> list[SpectralField]:
-        """sigma_1(u) .. sigma_n(u); shares the physical synthesis of u."""
+    def _ks(self, n: int) -> range:
+        """The indices 1..n of the first n fields."""
         if n > self.max_k:
             raise ConfigurationError(f"truncation N={n} exceeds stored max_k={self.max_k}")
-        return self._evaluate(range(1, n + 1), u)
-
-    def _evaluate(self, ks, u: SpectralField) -> list[SpectralField]:
-        if self.state_free:
-            return [self.vector_fields[k - 1] for k in ks]
-        return [forward_transform(self.grid, s)
-                for s in self.sample(ks, self.grid.m, inverse_transform(u))]
+        return range(1, n + 1)
 
     def sample(self, ks, p: int, u_phys: np.ndarray | None) -> np.ndarray:
         """sigma_k(u) for k in ``ks`` on the P grid (P >= M), stacked, pointwise
         from the velocity samples ``u_phys`` (3, P, P, P) there (None for
         state-free noise, which returns its cached coefficient stack): the one
-        rule behind ``eval`` on the M grid and the ledgers' noise on the pad."""
+        rule behind ``eval_all`` on the M grid and the ledgers' noise on the pad."""
         coef = self._coefficient_samples(ks, p)
         if self.state_free:
             return coef
         if self.kind == "linear_multiplicative":
-            return coef[:, None] * u_phys
+            return coef * u_phys
         mod = np.sqrt(1.0 + np.sum(u_phys**2, axis=0))
         return coef * np.cos(np.asarray(ks)[:, None, None, None] * mod)[:, None]
 
     def _coefficient_samples(self, ks, p: int) -> np.ndarray:
-        """The stored coefficient fields k in ``ks`` on the P grid, stacked, cached per
-        (ks, P) and read-only: state-free noise hands this stack to every consumer."""
+        """The stored coefficient fields k in ``ks`` on the P grid, stacked
+        (len(ks), 3 or 1, P, P, P), cached per (ks, P) and read-only:
+        state-free noise hands this stack to every consumer."""
         key = (tuple(ks), p)
         if key not in self._samples:
+            m = self.grid.m
             stored = self.vector_fields or self.scalar_fields
-            out = np.empty((len(key[0]), *stored[0].coeffs.shape[:-3], p, p, p))
-            for i, k in enumerate(key[0]):
-                out[i] = synthesize(stored[k - 1], p)
+            coeffs = np.stack([stored[k - 1].coeffs.reshape(-1, m, m, m) for k in key[0]])
+            out = synthesize(coeffs, p, self.grid)
             out.flags.writeable = False
             self._samples[key] = out
         return self._samples[key]
 
     # -- analytic per-family bounds -----------------------------------------
 
+    def _growth_norms(self) -> np.ndarray:
+        """The per-k norms of the linear-growth condition."""
+        return self.sup_norms() if self.kind == "linear_multiplicative" else self.l2_norms()
+
     def linear_growth_bound(self, n: int) -> float:
         """Sum_{k<=n} of the per-k constant in the linear-growth condition."""
-        if self.kind == "linear_multiplicative":
-            return float(np.sum(self.sup_norms()[:n] ** 2))
-        return float(np.sum(self.l2_norms()[:n] ** 2))
+        return float(np.sum(self._growth_norms()[:n] ** 2))
 
     def tail_bound(self, n: int) -> float:
         """Analytic tail Sum_{k>n}, including the contribution beyond max_k."""
-        if self.kind == "linear_multiplicative":
-            head = np.sum(self.sup_norms()[n:] ** 2)
-        else:
-            head = np.sum(self.l2_norms()[n:] ** 2)
-        return float(head + self.tail_beyond_max_k)
+        return float(np.sum(self._growth_norms()[n:] ** 2) + self.tail_beyond_max_k)
 
     def vorticity_control_bound(self, n: int) -> float:
         if self.kind == "additive":
@@ -269,8 +270,6 @@ def make_noise_model(grid: Grid, kind: str, amplitude: float = 0.1,
 
     ``flatness`` is the modulation depth beta of the multiplicative scalars.
     """
-    if kind not in KINDS:
-        raise ConfigurationError(f"unknown noise kind {kind!r}")
     amps = amplitude * ratio ** np.arange(1, max_k + 1)
     modes = [MODE_TABLE[(k - 1) % len(MODE_TABLE)] for k in range(1, max_k + 1)]
     for k, n in enumerate(modes, start=1):
@@ -305,16 +304,25 @@ class ValidationReport:
     note: str = "suprema estimated over divergence-free samples only"
 
 
-def _growth_ratio(model: NoiseModel, u: SpectralField, n: int) -> float:
-    total = sum(l2_norm(s) ** 2 for s in model.eval_all(n, u))
-    return total / (1.0 + l2_norm(u) ** 2)
+def _untruncated(model: NoiseModel, n: int, u: SpectralField) -> list[SpectralField]:
+    """sigma_1(u) .. sigma_n(u) from their samples on the M grid, untruncated."""
+    g = model.grid
+    s = model.sample(model._ks(n), g.m, None if model.state_free else synthesize(u, g.m))
+    return [forward_transform(g, x) for x in s]
+
+
+def _sup_ratio(what: str, model: NoiseModel, samples: list[SpectralField], n: int,
+               field_norm, state_norm) -> float:
+    """The sup over samples u of sum_{k<=n} field_norm(sigma_k(u))^2 / (1 + state_norm(u)^2)."""
+    if not samples:
+        raise ConfigurationError(f"{what} validation needs at least one sample")
+    return max(sum(field_norm(s) ** 2 for s in _untruncated(model, n, u))
+               / (1.0 + state_norm(u) ** 2) for u in samples)
 
 
 def validate_linear_growth(model: NoiseModel, samples: list[SpectralField],
                            n: int) -> ValidationReport:
-    if not samples:
-        raise ConfigurationError("linear-growth validation needs at least one sample")
-    emp = max(_growth_ratio(model, u, n) for u in samples)
+    emp = _sup_ratio("linear-growth", model, samples, n, l2_norm, l2_norm)
     bound = model.linear_growth_bound(n)
     return ValidationReport("linear_growth", emp, bound, emp <= bound * SLACK, len(samples))
 
@@ -334,14 +342,10 @@ def validate_tail_decay(model: NoiseModel, samples: list[SpectralField],
                         n_values: list[int]) -> TailDecayReport:
     if sorted(n_values) != list(n_values):
         raise ConfigurationError("tail-decay N values must be increasing")
-    emp = []
-    for n in n_values:
-        worst = 0.0
-        for u in samples:
-            evaluated = model.eval_all(model.max_k, u)
-            total = sum(l2_norm(s) ** 2 for s in evaluated[n:])
-            worst = max(worst, total / (1.0 + l2_norm(u) ** 2))
-        emp.append(worst)
+    emp = [0.0] * len(n_values)
+    for u in samples:  # each sample's fields are evaluated once, for every N
+        sq = [l2_norm(s) ** 2 for s in _untruncated(model, model.max_k, u)]
+        emp = [max(e, sum(sq[n:]) / (1.0 + l2_norm(u) ** 2)) for e, n in zip(emp, n_values)]
     analytic = [model.tail_bound(n) for n in n_values]
     noninc = all(emp[i + 1] <= emp[i] + 1e-14 for i in range(len(emp) - 1))
     passed = noninc and all(e <= a * SLACK + 1e-14 for e, a in zip(emp, analytic))
@@ -351,12 +355,8 @@ def validate_tail_decay(model: NoiseModel, samples: list[SpectralField],
 
 def validate_vorticity_control(model: NoiseModel, samples: list[SpectralField],
                                n: int) -> ValidationReport:
-    if not samples:
-        raise ConfigurationError("vorticity-control validation needs at least one sample")
-    worst = 0.0
-    for u in samples:
-        total = sum(l2_norm(curl(s)) ** 2 for s in model.eval_all(n, u))
-        worst = max(worst, total / (1.0 + h1_seminorm(u) ** 2))
+    worst = _sup_ratio("vorticity-control", model, samples, n,
+                       lambda s: l2_norm(curl(s)), h1_seminorm)
     bound = model.vorticity_control_bound(n)
     return ValidationReport("vorticity_control", worst, bound,
                             worst <= bound * SLACK, len(samples))

@@ -26,6 +26,7 @@ from .spectral import (
     forward_transform,
     leray_project,
     random_solenoidal,
+    scatter,
     solve_pressure,
 )
 
@@ -168,11 +169,11 @@ def _oracle_increment_summation(m: int, seed: int) -> float:
     traj = integrate(p, u0, noise)
     ws = Workspace(p, noise)
     total = np.zeros_like(u0.coeffs)
-    projected = ws.noise_spectra("projected", u0, {})
+    projected = scatter(grid, ws.noise_modes("projected", u0, {}))
     for j in range(p.n_steps):
         db = traj.incs.step_increments(j, p.truncation.n)
         for g, b in zip(projected, db):
-            total += g.coeffs * b
+            total += g * b
     diff = traj.states[-1].coeffs - traj.states[0].coeffs
     return float(np.max(np.abs(diff - total)) / max(np.max(np.abs(total)), 1e-30))
 

@@ -14,20 +14,24 @@ so every retained coefficient of a quadratic product is the exact
 convolution value (classical 2/3 rule).
 
 Layouts. Every field is stored in the full layout, shape (..., M, M, M)
-in ``fftfreq`` order, which is what ``SpectralField``, the StepViews and
-the snapshots hold. The quadratic products (advection tensor, nonlinear
-term, pressure) work on the retained half-spectrum instead: the
-(2K+1)^2 (K+1) modes with |n_x|, |n_y| <= K and 0 <= n_z <= K, listed by
-``ModeMap`` (``Grid.modes``, cached per (M, K)) as flat indices into the
-full layout and into the ``rfftn`` layout (M, M, M//2+1). ``gather`` takes
-a full-layout array to those modes; ``scatter`` puts retained values back
-and fills each mode n_z < 0 with the conjugate of its partner -n, so a
-real field's spectrum comes back Hermitian and zero outside the cut.
+in ``fftfreq`` order, which is what ``SpectralField`` and the snapshots
+hold. The quadratic products (advection tensor, nonlinear term, pressure)
+and the noise fields, stacked (N, 3, R), work on the retained
+half-spectrum instead: the (2K+1)^2 (K+1) modes with |n_x|, |n_y| <= K and
+0 <= n_z <= K, listed by ``ModeMap`` (``Grid.modes``, cached per (M, K))
+as flat indices into the full layout and into the ``rfftn`` layout
+(M, M, M//2+1). ``gather`` takes a full-layout array to those modes;
+``scatter`` puts retained values back and fills each mode n_z < 0 with the
+conjugate of its partner -n, so a real field's spectrum comes back
+Hermitian and zero outside the cut. The Leray projection and the curl are
+kernels on a list of modes (``_project``, ``_curl``) serving both layouts.
 
-Synthesis. ``synthesize`` evaluates a field on a finer P^3 grid (the
+Synthesis. ``synthesize`` evaluates a field, or a stack of fields in either
+layout, on the native grid (the inverse transform) or a finer P^3 grid (the
 ledgers' exact grids and the 2M pad) by one real route: y and x inverse
-transforms of the populated z half-spectrum, then a c2r transform along z.
-A field with more than round-off on a Nyquist plane is refused there.
+transforms of the populated z half-spectrum, then a c2r transform along z,
+one field at a time. A field with more than round-off on a Nyquist plane is
+refused there.
 """
 
 from __future__ import annotations
@@ -129,62 +133,40 @@ class Grid:
 
 
 @dataclass(frozen=True)
-class SpectralField:
+class Field:
+    """Fourier coefficients on a grid, shape ``LEAD`` + (M, M, M): a
+    ``SpectralField`` or a ``ScalarField``."""
+
+    grid: Grid
+    coeffs: np.ndarray
+    LEAD = ()
+
+    def __post_init__(self):
+        want = self.LEAD + (self.grid.m,) * 3
+        if self.coeffs.shape != want:
+            raise GridMismatchError(
+                f"{type(self).__name__} coefficient array has shape {self.coeffs.shape}, "
+                f"want {want}"
+            )
+
+    def __sub__(self, other):
+        _require_same_grid(self, other)
+        return type(self)(self.grid, self.coeffs - other.coeffs)
+
+    def __mul__(self, a: float):
+        return type(self)(self.grid, self.coeffs * a)
+
+    __rmul__ = __mul__
+
+
+class SpectralField(Field):
     """Truncated Fourier coefficients of a 3-vector field, shape (3, M, M, M)."""
 
-    grid: Grid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        m = self.grid.m
-        if self.coeffs.shape != (3, m, m, m):
-            raise GridMismatchError(
-                f"vector coefficient array has shape {self.coeffs.shape}, want {(3, m, m, m)}"
-            )
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        _require_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        _require_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, a: float) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * a)
-
-    __rmul__ = __mul__
+    LEAD = (3,)
 
 
-@dataclass(frozen=True)
-class ScalarField:
+class ScalarField(Field):
     """Fourier coefficients of a scalar field, shape (M, M, M)."""
-
-    grid: Grid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        m = self.grid.m
-        if self.coeffs.shape != (m, m, m):
-            raise GridMismatchError(
-                f"scalar coefficient array has shape {self.coeffs.shape}, want {(m, m, m)}"
-            )
-
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        _require_same_grid(self, other)
-        return ScalarField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        _require_same_grid(self, other)
-        return ScalarField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, a: float) -> "ScalarField":
-        return ScalarField(self.grid, self.coeffs * a)
-
-    __rmul__ = __mul__
-
-
-Field = SpectralField | ScalarField
 
 
 def _require_same_grid(a, b):
@@ -197,25 +179,21 @@ def _require_same_grid(a, b):
 
 
 def forward_transform(grid: Grid, samples: np.ndarray) -> Field:
-    """Physical samples on the M^3 grid -> Fourier coefficients."""
-    m = grid.m
-    if samples.shape == (3, m, m, m):
-        return SpectralField(grid, sfft.fftn(samples, axes=(-3, -2, -1)) / m**3)
-    if samples.shape == (m, m, m):
-        return ScalarField(grid, sfft.fftn(samples) / m**3)
-    raise GridMismatchError(
-        f"sample array shape {samples.shape} matches neither vector nor scalar on M={m}"
-    )
+    """Physical samples on the M^3 grid, (3, M, M, M) or (M, M, M) -> Fourier
+    coefficients."""
+    cls = SpectralField if samples.ndim == 4 else ScalarField
+    return cls(grid, sfft.fftn(samples, axes=(-3, -2, -1)) / grid.m**3)
 
 
-def inverse_transform(f: Field) -> np.ndarray:
-    """Fourier coefficients -> real physical samples on the native grid."""
-    m = f.grid.m
-    return sfft.ifftn(f.coeffs * m**3, axes=(-3, -2, -1)).real
+def synthesize(f: Field | np.ndarray, p: int, grid: Grid | None = None) -> np.ndarray:
+    """Evaluate trigonometric polynomials on a P^3 grid, P >= M (P = M: the
+    inverse transform).
 
-
-def synthesize(f: Field, p: int) -> np.ndarray:
-    """Evaluate a field's trigonometric polynomial on a finer P^3 grid.
+    ``f`` is a field, or a coefficient stack on ``grid`` with any leading
+    axes: full-layout coefficients (..., M, M, M) or retained-mode values
+    (..., R). The samples (..., P, P, P) are filled one field at a time (the
+    last leading axis holds a field's components), so a stack costs its
+    output and one field's transform.
 
     One real route (``_synthesize_real``), exact for real fields whose
     Nyquist planes are empty: every dealiased field, and the noise
@@ -223,24 +201,39 @@ def synthesize(f: Field, p: int) -> np.ndarray:
     more than round-off (``has_nyquist``) has no unique real extension to
     a finer grid, so at P > M it raises rather than losing that content.
     """
-    m = f.grid.m
-    if p == m:
-        return inverse_transform(f)
+    grid, c = (f.grid, f.coeffs) if grid is None else (grid, f)
+    m = grid.m
     if p < m:
         raise ConfigurationError(f"synthesis grid P={p} finer than source M={m} required")
-    if has_nyquist(f):
-        raise ConfigurationError(
-            f"field with a populated Nyquist plane (|n_i| = M/2) cannot be synthesized "
-            f"exactly on P={p} > M={m}"
-        )
-    return _synthesize_real(f.coeffs, m // 2, p)
+    full = c.shape[-3:] == (m, m, m)
+    lead = c.shape[:-3] if full else c.shape[:-1]
+
+    def one(field):
+        if not full:
+            field = scatter(grid, field)
+        if p == m:
+            return sfft.ifftn(field * m**3, axes=(-3, -2, -1)).real
+        if has_nyquist(field):
+            raise ConfigurationError(
+                f"field with a populated Nyquist plane (|n_i| = M/2) cannot be synthesized "
+                f"exactly on P={p} > M={m}"
+            )
+        return _synthesize_real(field, m // 2, p)
+
+    if len(lead) <= 1:
+        return one(c)
+    out = np.empty(lead + (p, p, p))
+    for i in np.ndindex(lead[:-1]):
+        out[i] = one(c[i])
+    return out
 
 
-def has_nyquist(f: Field) -> bool:
-    """Whether a Nyquist plane (index M/2 on some axis) holds more than
-    round-off, 64 eps of the largest coefficient (the round-off of an FFT of
-    samples, which a finer grid may drop)."""
-    c, h = f.coeffs, f.grid.m // 2
+def has_nyquist(c: np.ndarray) -> bool:
+    """Whether full-layout coefficients c (..., M, M, M) hold more than
+    round-off on a Nyquist plane (index M/2 on some axis): 64 eps of the
+    largest coefficient (the round-off of an FFT of samples, which a finer
+    grid may drop)."""
+    h = c.shape[-1] // 2
     planes = (c[..., h, :, :], c[..., h, :], c[..., h])
     if not any(a.any() for a in planes):
         return False
@@ -276,22 +269,25 @@ def leray_project(u: SpectralField) -> SpectralField:
     Corrections below machine noise are skipped, which makes the projection
     exactly idempotent and leaves already-solenoidal fields bit-identical.
     """
-    return SpectralField(u.grid, _project(u.grid.wavenumbers, u.grid.k2, u.coeffs))
+    g = u.grid
+    c = _project(g.wavenumbers.reshape(3, -1), g.k2.reshape(-1), u.coeffs.reshape(3, -1))
+    return SpectralField(g, c.reshape(u.coeffs.shape))
 
 
 def project_modes(grid: Grid, c: np.ndarray) -> np.ndarray:
-    """``leray_project`` of retained-mode values (3, R): the same kernel, so
-    each mode gets the same bits in either layout."""
+    """``leray_project`` of retained-mode values (..., 3, R): the same kernel,
+    so each mode gets the same bits in either layout."""
     return _project(grid.modes.n, grid.modes.k2, c)
 
 
 def _project(n: np.ndarray, k2: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The Leray kernel on any layout: wavenumbers n (3, ...), |n|^2 (...)."""
+    """The Leray kernel on a list of modes: wavenumbers n (3, R), |n|^2 (R,),
+    values c (..., 3, R)."""
     k2 = np.maximum(k2, 1.0)  # |n|^2 >= 1 off the mean mode, where n.c = 0
-    ndotu = np.einsum("i...,i...->...", n, c)
-    noise = 32 * np.finfo(float).eps * np.sqrt(k2) * np.sqrt(np.sum(np.abs(c) ** 2, axis=0))
+    ndotu = np.einsum("ir,...ir->...r", n, c)
+    noise = 32 * np.finfo(float).eps * np.sqrt(k2) * np.sqrt(np.sum(np.abs(c) ** 2, axis=-2))
     ndotu = np.where(np.abs(ndotu) > noise, ndotu, 0.0)
-    return c - n * (ndotu / k2)
+    return c - n * (ndotu / k2)[..., None, :]
 
 
 def divergence(u: SpectralField) -> ScalarField:
@@ -305,13 +301,20 @@ def gradient(s: ScalarField) -> SpectralField:
 
 
 def curl(u: SpectralField) -> SpectralField:
-    n = u.grid.wavenumbers
-    c = u.coeffs
-    w = np.empty_like(c)
-    w[0] = n[1] * c[2] - n[2] * c[1]
-    w[1] = n[2] * c[0] - n[0] * c[2]
-    w[2] = n[0] * c[1] - n[1] * c[0]
-    return SpectralField(u.grid, TWO_PI * 1j * w)
+    c = _curl(u.grid.wavenumbers.reshape(3, -1), u.coeffs.reshape(3, -1))
+    return SpectralField(u.grid, c.reshape(u.coeffs.shape))
+
+
+def curl_modes(grid: Grid, c: np.ndarray) -> np.ndarray:
+    """``curl`` of retained-mode values (..., 3, R), by the same kernel."""
+    return _curl(grid.modes.n, c)
+
+
+def _curl(n: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The curl kernel 2 pi i n x c on a list of modes (see ``_project``)."""
+    c0, c1, c2 = c[..., 0, :], c[..., 1, :], c[..., 2, :]
+    w = np.stack([n[1] * c2 - n[2] * c1, n[2] * c0 - n[0] * c2, n[0] * c1 - n[1] * c0], axis=-2)
+    return TWO_PI * 1j * w
 
 
 def laplacian(f: Field) -> Field:
@@ -436,9 +439,7 @@ def divergence_residual(u: SpectralField) -> float:
 
 
 def mean_mode(f: Field):
-    if f.coeffs.ndim == 4:
-        return f.coeffs[:, 0, 0, 0]
-    return f.coeffs[0, 0, 0]
+    return f.coeffs[..., 0, 0, 0]
 
 
 # ---------------------------------------------------------------------------

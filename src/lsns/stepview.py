@@ -6,11 +6,13 @@ the energy, vorticity and dissipation ledgers share them. Each field has one
 accessor taking the synthesis grid size P: a ledger asks for the smallest
 grid (from the native M up to the padded ``pad`` = 2M) on which its
 integrand is exactly resolved, and for ``pad`` where no finite grid is.
-Every synthesis goes through ``spectral.synthesize``, and fields that follow
-from cached samples take none: the vorticity is the antisymmetric part of the
-velocity gradient's samples, and the unmollified noise sigma_k(u) is
-evaluated pointwise from the velocity's samples on the pad
-(``NoiseModel.sample``), so no FFT of sigma_k(u) is synthesized.
+Every synthesis goes through ``spectral.synthesize``, one call per field or
+stack: a gradient's 3 x 3 components, and each kind of noise field, whose N
+fields come as one (N, 3, R) stack on the retained modes
+(``Workspace.noise_modes``). Fields that follow from cached samples take
+none: the vorticity is the antisymmetric part of the velocity gradient's
+samples, and the unmollified noise sigma_k(u) is evaluated pointwise from
+the velocity's samples on the pad (``NoiseModel.sample``).
 
 Views come from the one Euler-Maruyama loop (``integrate.em_path``) via
 ``views_of`` while integrating (``iter_views``), each sharing its state's
@@ -82,18 +84,6 @@ class StepView:
             cache[key] = builder()
         return cache[key]
 
-    def _grad_phys(self, key, p: int, coeffs):
-        """A (3, 3, ...) gradient coefficient array, synthesized row by row."""
-
-        def build():
-            g = coeffs()
-            arr = np.empty((3, 3, p, p, p))
-            for i in range(3):
-                arr[i] = synthesize(SpectralField(self.grid, g[i]), p)
-            return arr
-
-        return self._get((key, p), build)
-
     # -- state fields --------------------------------------------------------
 
     @property
@@ -112,7 +102,7 @@ class StepView:
 
     def grad_u_phys(self, p: int) -> np.ndarray:
         """d u_j / d x_i, shape (3, 3, P, P, P)."""
-        return self._grad_phys("grad_u", p, lambda: grad_components(self.u))
+        return self._get(("grad_u", p), lambda: synthesize(grad_components(self.u), p, self.grid))
 
     def v_phys(self, p: int) -> np.ndarray:
         """Mollified advecting velocity psi_eps * u (zero when the test hook
@@ -126,10 +116,8 @@ class StepView:
 
     def mollified_grad_u_phys(self, p: int) -> np.ndarray:
         """psi_eps * (d u_j / d x_i) (equals d(psi*u)/dx)."""
-        return self._grad_phys(
-            "mol_grad_u", p,
-            lambda: grad_components(self.u) * self.ws.mol.multiplier[None, None],
-        )
+        return self._get(("mol_grad_u", p), lambda: synthesize(
+            grad_components(self.u) * self.ws.mol.multiplier[None, None], p, self.grid))
 
     # -- vorticity -----------------------------------------------------------
 
@@ -148,22 +136,23 @@ class StepView:
         return self._get(("omega", p), build)
 
     def grad_omega_phys(self, p: int) -> np.ndarray:
-        return self._grad_phys("grad_omega", p, lambda: grad_components(self.omega))
+        return self._get(("grad_omega", p),
+                         lambda: synthesize(grad_components(self.omega), p, self.grid))
 
     # -- noise fields at the left endpoint ------------------------------------
 
     def noise_phys(self, tag: str, p: int) -> np.ndarray:
         """The noise fields ``tag`` on the P grid, stacked (N, 3, P, P, P).
         ``raw`` is sigma_k(u) evaluated pointwise from u's samples on that
-        grid (``NoiseModel.sample``); the others (see ``Workspace.noise_modes``)
-        are synthesized from their spectra."""
+        grid (``NoiseModel.sample``); the others are the stacks of
+        ``Workspace.noise_modes``, synthesized in one call."""
         ws = self.ws
         if ws.noise is None:
             return []
 
         def build():
             if tag != "raw":
-                return np.stack([synthesize(g, p) for g in ws.noise_spectra(tag, self.u, self._cache)])
+                return synthesize(ws.noise_modes(tag, self.u, self._cache), p, self.grid)
             return ws.noise.sample(range(1, ws.n_noise + 1), p,
                                    None if ws.noise.state_free else self.u_phys(p))
 

@@ -208,9 +208,6 @@ class TestFunction:
             return np.zeros((p, p, p))
         return self.spatial.laplacian(p)
 
-    def values(self, t: float, p: int) -> np.ndarray:
-        return self.theta(t) * self.spatial_values(p)
-
 
 def builtin_test_functions(t_end: float) -> dict[str, TestFunction]:
     """Built-in family: three spatial scales x two chi ramp widths on (T/4, 3T/4)."""

@@ -201,8 +201,8 @@ def test_frozen_drift_exact_ito_oracle():
     ws = Workspace(p, noise)
     pr = 2 * G8.m
     s = phi.spatial_values(pr)
-    g_phys = [synthesize(g, pr) for g in ws.noise_spectra("projected", u0, {})]
-    g_unproj = [synthesize(g, pr) for g in ws.noise_spectra("injected", u0, {})]
+    g_phys = synthesize(ws.noise_modes("projected", u0, {}), pr, G8)
+    g_unproj = synthesize(ws.noise_modes("injected", u0, {}), pr, G8)
     ito = 0.0
     for j in range(p.n_steps):
         u_phys = synthesize(traj.states[j], pr)

@@ -307,6 +307,32 @@ def test_bad_initial_condition_fails_at_parse_time(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_bad_events_and_supermartingale_windows_fail_at_parse_time(tmp_path):
+    # each of these parsed and then failed in summarize, after every path ran
+    cases = [
+        ([{"kind": "low_enrgy"}], None, "unknown event kind 'low_enrgy'"),
+        ([{"kind": "low_energy", "at": 0.0, "q": 1.5}], None, r"q=1.5 outside \[0, 1\]"),
+        (None, {"s": 0.1, "t": 0.11}, "time 0.1 not on the stored step grid"),
+        (None, {"s": 0.125, "t": 0.0625}, r"need s <= t"),
+        ([{"kind": "low_energy", "at": 0.125}], {"s": 0.03125, "t": 0.125},
+         "event at t=0.125 peeks beyond conditioning time s=0.03125"),
+    ]
+    for i, (events, window, message) in enumerate(cases):
+        doc = base_config(tmp_path)
+        doc["run"]["dt"] = 1.0 / 32
+        if events is not None:
+            doc["diagnostics"]["events"] = events
+        if window is not None:
+            doc["diagnostics"]["supermartingale"] = window
+        with pytest.raises(ConfigurationError, match=message):
+            ExperimentConfig.parse(doc)
+        path = tmp_path / f"bad_{i}.json"
+        path.write_text(json.dumps(doc))
+        res = CliRunner().invoke(cli_main, ["run", str(path)])
+        assert res.exit_code == 2, res.output
+        assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_report_aggregates(tmp_path):
     cfg = ExperimentConfig.parse(base_config(tmp_path))

@@ -24,6 +24,8 @@ from lsns.spectral import (
     forward_transform,
     l2_norm,
     leray_project,
+    scatter,
+    synthesize,
 )
 from lsns.stepview import views_from_trajectory
 
@@ -118,12 +120,12 @@ def test_additive_increment_summation_oracle():
     traj = integrate(p, u0, noise)
     ws = Workspace(p, noise)
     n = p.truncation.n
-    projected = ws.noise_spectra("projected", u0, {})
+    projected = scatter(G8, ws.noise_modes("projected", u0, {}))
     total = np.zeros_like(u0.coeffs)
     for j in range(p.n_steps):
         db = traj.incs.step_increments(j, n)
         for g, b in zip(projected, db):
-            total += g.coeffs * b
+            total += g * b
     diff = traj.states[-1].coeffs - traj.states[0].coeffs
     assert np.max(np.abs(diff - total)) <= 1e-12 * max(np.max(np.abs(total)), 1e-30)
 
@@ -216,12 +218,12 @@ def test_noise_term_path_matches_increments_exactly_for_linear_hook():
     traj = integrate(p, random_solenoidal(G8, seed=14), noise)
     series = noise_term_path(traj)
     ws = Workspace(p, noise)
-    projected = ws.noise_spectra("projected", traj.states[0], {})
+    projected = scatter(G8, ws.noise_modes("projected", traj.states[0], {}))
     acc = np.zeros_like(traj.states[0].coeffs)
     for j in range(p.n_steps):
         db = traj.incs.step_increments(j, p.truncation.n)
         for g, b in zip(projected, db):
-            acc += g.coeffs * b
+            acc += g * b
         got = series[j + 1].coeffs
         assert np.max(np.abs(got - acc)) <= 1e-12 * max(np.max(np.abs(acc)), 1e-30)
 
@@ -265,9 +267,9 @@ def test_fractional_sobolev_brownian_bound():
         series = noise_term_path(traj)
         wnorm = fractional_sobolev_norm(series, alpha=0.25, r=2.0, dt=pp.dt)
         ws = Workspace(pp, noise)
-        projected = ws.noise_spectra("projected", traj.states[0], {})
+        projected = scatter(G8, ws.noise_modes("projected", traj.states[0], {}))
         rhs = p.dt * sum(
-            sum(l2_norm(g) ** 2 for g in projected)
+            sum(l2_norm(SpectralField(G8, g)) ** 2 for g in projected)
             for _ in range(pp.n_steps)
         )
         assert np.isfinite(wnorm)
@@ -338,8 +340,9 @@ def test_state_dependent_increment_matches_full_layout(kind, grid):
     u = random_solenoidal(grid, seed=91, amp=0.8)
     db = BrownianIncrements(5, 0, 1.0 / 64).step_increments(3, ws.n_noise)
     acc = np.zeros_like(u.coeffs)
-    for s, b in zip(noise.eval_all(ws.n_noise, u), db):
-        acc += mollify(s, ws.mol).coeffs * grid.dealias_mask * b
+    sigma = noise.sample(range(1, ws.n_noise + 1), grid.m, synthesize(u, grid.m))
+    for s, b in zip(sigma, db):
+        acc += mollify(forward_transform(grid, s), ws.mol).coeffs * grid.dealias_mask * b
     want = leray_project(SpectralField(grid, acc)).coeffs
 
     got = ws.noise_increment(u, db, {})

@@ -17,8 +17,10 @@ from lsns.spectral import (
     SpectralField,
     curl,
     divergence_residual,
-    inverse_transform,
+    gather,
     l2_norm,
+    scatter,
+    synthesize,
 )
 
 from helpers import random_solenoidal
@@ -50,18 +52,16 @@ def test_builtin_norms_are_exact():
     mult = make_noise_model(G, "linear_multiplicative", amplitude=0.2, ratio=0.5, max_k=6)
     assert np.allclose(mult.sup_norms(), a, rtol=1e-12)
     # scalars stay nonnegative
-    assert all(inverse_transform(f).min() > -1e-12 for f in mult.scalar_fields)
+    assert all(synthesize(f, G.m).min() > -1e-12 for f in mult.scalar_fields)
 
 
 def test_additive_eval_ignores_state():
     model = make_noise_model(G, "additive", max_k=4)
     u1, u2 = samples(2)
-    out1, out2 = model.eval(2, u1), model.eval(2, u2)
-    assert np.array_equal(out1.coeffs, out2.coeffs)
-    with pytest.raises(ConfigurationError):
-        model.eval(5, u1)
-    with pytest.raises(ConfigurationError):
-        model.eval(0, u1)
+    out1, out2 = model.eval_all(2, u1), model.eval_all(2, u2)
+    assert np.array_equal(out1, out2)
+    with pytest.raises(ConfigurationError, match="N=5 exceeds"):
+        model.eval_all(5, u1)
 
 
 def test_state_free_samples_are_one_read_only_stack():
@@ -77,24 +77,25 @@ def test_multiplicative_constant_scalar_scales_field():
     const = single_mode_scalar_field(G, (1, 0, 0), amplitude=c, flatness=0.0)
     model = NoiseModel("linear_multiplicative", G, 1, scalar_fields=(const,))
     u = samples(1)[0]
-    out = model.eval(1, u)
-    assert np.max(np.abs(out.coeffs - c * u.coeffs)) <= 1e-12 * np.max(np.abs(u.coeffs))
+    out = model.eval_all(1, u)[0]
+    want = c * gather(G, u.coeffs)
+    assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(u.coeffs))
 
 
 def test_cosine_at_zero_velocity():
     model = make_noise_model(G, "cosine", amplitude=0.3, ratio=0.5, max_k=3)
     zero = SpectralField(G, np.zeros((3, 8, 8, 8), dtype=complex))
+    stack = model.eval_all(3, zero)
     for k in [1, 2, 3]:
-        out = model.eval(k, zero)
-        expect = model.vector_fields[k - 1].coeffs * np.cos(k)
-        assert np.max(np.abs(out.coeffs - expect)) <= 1e-12 * max(np.max(np.abs(expect)), 1e-30)
+        expect = gather(G, model.vector_fields[k - 1].coeffs) * np.cos(k)
+        assert np.max(np.abs(stack[k - 1] - expect)) <= 1e-12 * max(np.max(np.abs(expect)), 1e-30)
 
 
 def test_eval_deterministic_and_mollified_contraction():
     model = make_noise_model(G, "cosine", max_k=4)
     u = samples(1)[0]
-    a = model.eval(3, u)
-    b = model.eval(3, u)
+    a = SpectralField(G, scatter(G, model.eval_all(3, u)[2]))
+    b = SpectralField(G, scatter(G, model.eval_all(3, u)[2]))
     assert np.array_equal(a.coeffs, b.coeffs)
     mol = make_mollifier(G, 0.25)
     assert l2_norm(mollify(a, mol)) <= l2_norm(a) * (1 + 1e-14)
@@ -167,7 +168,7 @@ def test_vorticity_control_all_families():
     model = NoiseModel("linear_multiplicative", G, 1, scalar_fields=(const,))
     rep = validate_vorticity_control(model, smooth, n=1)
     for u in smooth:
-        got = l2_norm(curl(model.eval(1, u)))
+        got = l2_norm(curl(SpectralField(G, scatter(G, model.eval_all(1, u)[0]))))
         want = 0.8 * l2_norm(curl(u))
         assert abs(got - want) <= 1e-10 * want
     assert rep.passed
