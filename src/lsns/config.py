@@ -27,6 +27,7 @@ from .spectral import (
     ScalarField,
     SpectralField,
     has_nyquist,
+    is_real_spectrum,
     random_solenoidal,
     taylor_green,
 )
@@ -111,6 +112,17 @@ def _check_exact_grid(name: str, exponent: int, grid: Grid):
         )
 
 
+def _read_spectrum(where: str, path: str, grid: Grid):
+    """A snapshot's field, which must be the spectrum of a real field: the
+    runs synthesize real samples and would silently keep its Hermitian part."""
+    from .persist import read_snapshot
+
+    fld, _ = read_snapshot(path, grid)
+    if not is_real_spectrum(fld.coeffs):
+        raise ConfigurationError(f"{where}: not the spectrum of a real field (c[n] != conj c[-n])")
+    return fld
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     raw: dict
@@ -193,25 +205,18 @@ class ExperimentConfig:
         )
 
     def _noise_from_files(self, kind, files, block) -> NoiseModel:
-        from .persist import read_snapshot
-
         grid = self.grid()
-        fields = []
-        for f in files:
-            fld, _ = read_snapshot(f, grid)
-            fields.append(fld)
         want_scalar = kind == "linear_multiplicative"
-        for i, (f, fld) in enumerate(zip(files, fields)):
-            is_scalar = isinstance(fld, ScalarField)
-            if is_scalar != want_scalar:
-                raise ConfigurationError(
-                    f"noise.coefficient_files[{i}]: wrong field kind for {kind}"
-                )
+        fields = []
+        for i, f in enumerate(files):
+            where = f"noise.coefficient_files[{i}] ({f})"
+            fld = _read_spectrum(where, f, grid)
+            if isinstance(fld, ScalarField) != want_scalar:
+                raise ConfigurationError(f"{where}: wrong field kind for {kind}")
             if has_nyquist(fld.coeffs):  # no exact samples on the ledgers' finer grids
                 raise ConfigurationError(
-                    f"noise.coefficient_files[{i}] ({f}): content on a Nyquist plane "
-                    f"(|n_i| = M/2 = {grid.m // 2})"
-                )
+                    f"{where}: content on a Nyquist plane (|n_i| = M/2 = {grid.m // 2})")
+            fields.append(fld)
         stored = {"scalar_fields" if want_scalar else "vector_fields": tuple(fields)}
         return NoiseModel(kind, grid, len(fields), **stored, decay_note="loaded from files",
                           tail_beyond_max_k=_opt(block, "tail_beyond_max_k", 0.0))
@@ -369,11 +374,10 @@ def initial_field(cfg: ExperimentConfig):
         return random_solenoidal(grid, int(spec.get("seed", 7)), amp,
                                  float(spec.get("smooth", 0.0)))
     if kind == "snapshot":
-        from .persist import read_snapshot
-
-        fld, _ = read_snapshot(_need(spec, "path", str, "run.initial_condition"), grid)
+        path = _need(spec, "path", str, "run.initial_condition")
+        fld = _read_spectrum(f"run.initial_condition.path: {path}", path, grid)
         if not isinstance(fld, SpectralField):
             raise ConfigurationError(
-                f"run.initial_condition.path: {spec['path']} holds a scalar field, not a velocity")
+                f"run.initial_condition.path: {path} holds a scalar field, not a velocity")
         return fld
     raise ConfigurationError(f"run.initial_condition.kind: unknown kind {kind!r}")

@@ -9,14 +9,15 @@ stream at the output stride, and a path without ledgers keeps only its last
 state. Each ledger serializes itself into the path record and its per-path
 file.
 
-Workers parallelize over whole paths only; the counter-based noise keys make
-results independent of scheduling. Each finished path is written atomically
-to ``<output>/paths/path_XXXXXX.json`` together with the code version and the
+Workers parallelize over whole paths only, each task carrying the parsed
+config; the counter-based noise keys make results independent of scheduling.
+Each finished path is written atomically to
+``<output>/paths/path_XXXXXX.json`` together with the code version and the
 digest of the config blocks that determine its numbers, so an interrupted
-ensemble resumes by skipping completed paths of the same config and
-reproduces the uninterrupted result bit-exactly; a record from another
-config or code version is recomputed. Blown-up paths are recorded and
-excluded from statistics, never dropped silently.
+ensemble resumes by skipping completed paths of the same config and reproduces
+the uninterrupted result bit-exactly; a record from another config or code
+version is recomputed. Blown-up paths are recorded and excluded from
+statistics, never dropped silently.
 """
 
 from __future__ import annotations
@@ -80,12 +81,6 @@ def run_one_path(cfg: ExperimentConfig, path_id: int) -> dict:
             paths.mkdir(parents=True, exist_ok=True)
             led.export(paths, path_id)
     return record
-
-
-def _worker(args):
-    cfg_doc, path_id = args
-    cfg = ExperimentConfig.parse(cfg_doc)
-    return run_one_path(cfg, path_id)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +255,7 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> dict:
 
     if workers > 1 and len(todo) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for rec in pool.map(_worker, [(cfg.raw, pid) for pid in todo]):
+            for rec in pool.map(run_one_path, [cfg] * len(todo), todo):
                 store(rec)
     else:
         for pid in todo:

@@ -9,12 +9,12 @@ Two kernel kinds are built in:
 
 * ``paper_bump`` -- the compactly supported bump psi(x) ~ exp(-1/(1-|x|^2))
   on B_1, normalized to unit mass (satisfies 0 <= psi <= 1). Its transform
-  is computed by adaptive quadrature. The raw transform oscillates through
-  zero beyond its main lobe (first zero near q ~ 1.04); past the point
-  where it drops below a small threshold the profile is continued by a
-  positive, strictly decreasing exponential tail so that the multiplier is
-  positive and monotone for every mode. Inside the main lobe the
-  multiplier equals the exact quadrature value.
+  is one fixed 128-node Gauss-Legendre rule on [0, 1], vectorized over q.
+  The raw transform oscillates through zero beyond its main lobe (first
+  zero near q ~ 1.04); past the point where it drops below a small
+  threshold the profile is continued by a positive, strictly decreasing
+  exponential tail so that the multiplier is positive and monotone for
+  every mode. Inside the main lobe the multiplier equals the rule's value.
 * ``gaussian`` -- the transform exp(-2 pi^2 sigma^2 |n|^2) of a Gaussian
   with standard deviation sigma = eps/2 (= exp(-pi^2 q^2 / 2) in q).
   Fast and exactly positive/monotone, but the kernel is not compactly
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigurationError, GridMismatchError
 from .spectral import Field, Grid
@@ -36,6 +35,10 @@ KINDS = ("paper_bump", "gaussian")
 
 # below this value the bump transform is continued by the monotone tail
 _BUMP_TAIL_THRESHOLD = 1e-3
+# the bump transform's Gauss-Legendre rule, checked against adaptive quadrature
+# (tests/test_mollifier.py) for q <= _RULE_Q_MAX
+_RULE_NODES = 128
+_RULE_Q_MAX = 60.0
 
 
 def _bump_radial(r: float) -> float:
@@ -45,41 +48,38 @@ def _bump_radial(r: float) -> float:
 
 
 @lru_cache(maxsize=1)
+def _rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes r_i of the fixed Gauss-Legendre rule on [0, 1] and the bump's
+    radial weights W_i = w_i 4 pi r_i^2 psi(r_i)."""
+    x, w = np.polynomial.legendre.leggauss(_RULE_NODES)
+    r = 0.5 * (x + 1.0)
+    return r, 2.0 * np.pi * w * r * r * np.array([_bump_radial(v) for v in r])
+
+
 def bump_mass() -> float:
     """int_{B_1} exp(-1/(1-|x|^2)) dx (the normalizing constant's inverse)."""
-    val, _ = quad(lambda r: 4.0 * np.pi * r * r * _bump_radial(r), 0.0, 1.0,
-                  epsabs=1e-13, epsrel=1e-12, limit=200)
-    return val
+    return float(np.sum(_rule()[1]))
 
 
-def bump_transform_raw(q: float) -> float:
-    """Fourier transform of the unit-mass bump at radial frequency q.
-
-    F(q) = (1/mass) * int_0^1 4 pi r^2 psi(r) sinc(2 pi q r) dr; real and
-    even because the kernel is radial.
-    """
-    if q == 0.0:
-        return 1.0
-    val, _ = quad(
-        lambda r: 4.0 * np.pi * r * _bump_radial(r) * np.sin(2.0 * np.pi * q * r)
-        / (2.0 * np.pi * q),
-        0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200,
-    )
-    return val / bump_mass()
+def bump_transform_raw(q: np.ndarray | float) -> np.ndarray | float:
+    """Fourier transform of the unit-mass bump at radial frequencies q >= 0:
+    F(q) = (1/mass) int_0^1 4 pi r^2 psi(r) sinc(2 pi q r) dr (real and even,
+    the kernel being radial) = sum_i W_i sinc(2 q r_i) / sum_i W_i, with
+    np.sinc(x) = sin(pi x) / (pi x); F(0) = 1."""
+    q_arr = np.asarray(q, dtype=float)
+    if np.any(q_arr > _RULE_Q_MAX):
+        raise ConfigurationError(f"bump transform at q = {np.max(q_arr):.6g} past the "
+                                 f"checked range q <= {_RULE_Q_MAX:g} of its rule")
+    r, w = _rule()
+    out = np.sum(np.sinc(2.0 * q_arr[..., None] * r) * w, axis=-1) / np.sum(w)
+    return out if np.ndim(q) else float(out)
 
 
 @lru_cache(maxsize=1)
 def _bump_knee() -> tuple[float, float]:
-    """(q*, F(q*)) where the raw transform first reaches the tail threshold."""
-    lo, hi = 0.0, 1.5
-    qs = np.linspace(0.0, hi, 151)
-    prev = 1.0
-    for q in qs[1:]:
-        v = bump_transform_raw(float(q))
-        if v <= _BUMP_TAIL_THRESHOLD:
-            hi = float(q)
-            break
-        lo, prev = float(q), v
+    """(q*, F(q*)) where the raw transform first reaches the tail threshold, by
+    bisection on [0, 1.25], where F falls monotonically from 1 to below zero."""
+    lo, hi = 0.0, 1.25
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if bump_transform_raw(mid) <= _BUMP_TAIL_THRESHOLD:
@@ -87,19 +87,6 @@ def _bump_knee() -> tuple[float, float]:
         else:
             lo = mid
     return lo, bump_transform_raw(lo)
-
-
-@lru_cache(maxsize=200_000)
-def _bump_raw_cached(q_key: float) -> float:
-    return bump_transform_raw(q_key)
-
-
-@lru_cache(maxsize=200_000)
-def _bump_multiplier_cached(q_key: float) -> float:
-    q_star, v_star = _bump_knee()
-    if q_key <= q_star:
-        return min(bump_transform_raw(q_key), 1.0)
-    return v_star * float(np.exp(-(q_key - q_star)))
 
 
 def radial_multiplier(kind: str, q: np.ndarray | float, raw: bool = False) -> np.ndarray:
@@ -114,9 +101,13 @@ def radial_multiplier(kind: str, q: np.ndarray | float, raw: bool = False) -> np
     if kind == "gaussian":
         # kernel std dev sigma = eps/2 => exp(-2 pi^2 (eps/2)^2 |n|^2) with q = eps|n|
         out = np.exp(-0.5 * np.pi**2 * q_arr**2)
+    elif kind == "paper_bump" and raw:
+        out = bump_transform_raw(q_arr)
     elif kind == "paper_bump":
-        fn = _bump_raw_cached if raw else _bump_multiplier_cached
-        out = np.array([fn(round(float(v), 12)) for v in q_arr])
+        q_star, v_star = _bump_knee()
+        lobe = q_arr <= q_star
+        out = v_star * np.exp(-(q_arr - q_star))
+        out[lobe] = np.minimum(bump_transform_raw(q_arr[lobe]), 1.0)
     else:
         raise ConfigurationError(f"unknown mollifier kind {kind!r}; choose from {KINDS}")
     if not raw:
@@ -144,8 +135,6 @@ def _multiplier_array(m: int, cutoff: int, epsilon: float, kind: str) -> np.ndar
 def make_mollifier(grid: Grid, epsilon: float, kind: str = "paper_bump") -> Mollifier:
     if epsilon <= 0:
         raise ConfigurationError(f"mollifier scale must be positive, got {epsilon}")
-    if kind not in KINDS:
-        raise ConfigurationError(f"unknown mollifier kind {kind!r}; choose from {KINDS}")
     arr = _multiplier_array(grid.m, grid.dealias_cutoff, float(epsilon), kind)
     return Mollifier(grid, float(epsilon), kind, arr)
 

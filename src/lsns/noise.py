@@ -139,7 +139,7 @@ class NoiseModel:
     scalar_fields: tuple = ()   # per-k ScalarField (multiplicative c_k)
     tail_beyond_max_k: float = 0.0  # analytic sum of ||.||^2-type bounds for k > max_k
     decay_note: str = ""
-    _samples: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -159,7 +159,8 @@ class NoiseModel:
 
     def sup_norms(self) -> np.ndarray:
         """C^0 norms estimated on a refined grid (exact for single-mode built-ins)."""
-        return _refined_sups(self.vector_fields or self.scalar_fields)
+        stored = self.vector_fields or self.scalar_fields
+        return self._cached("sup_norms", lambda: _refined_sups(stored))
 
     def curl_norms(self) -> np.ndarray:
         """||curl sigma_k||_L2 for the vector families (zeros for multiplicative)."""
@@ -171,7 +172,8 @@ class NoiseModel:
         """sup |grad c_k| for the multiplicative family (refined-grid estimate)."""
         if self.kind != "linear_multiplicative":
             return np.zeros(self.max_k)
-        return _refined_sups([gradient(f) for f in self.scalar_fields])
+        return self._cached("grad_sup_norms",
+                            lambda: _refined_sups([gradient(f) for f in self.scalar_fields]))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -201,7 +203,12 @@ class NoiseModel:
         from the velocity samples ``u_phys`` (3, P, P, P) there (None for
         state-free noise, which returns its cached coefficient stack): the one
         rule behind ``eval_all`` on the M grid and the ledgers' noise on the pad."""
-        coef = self._coefficient_samples(ks, p)
+        # the stored fields on the P grid, (len(ks), 3 or 1, P, P, P), cached
+        # read-only: state-free noise hands this stack to every consumer
+        key, m = (tuple(ks), p), self.grid.m
+        stored = self.vector_fields or self.scalar_fields
+        coef = self._cached(key, lambda: synthesize(
+            np.stack([stored[k - 1].coeffs.reshape(-1, m, m, m) for k in key[0]]), p, self.grid))
         if self.state_free:
             return coef
         if self.kind == "linear_multiplicative":
@@ -209,19 +216,13 @@ class NoiseModel:
         mod = np.sqrt(1.0 + np.sum(u_phys**2, axis=0))
         return coef * np.cos(np.asarray(ks)[:, None, None, None] * mod)[:, None]
 
-    def _coefficient_samples(self, ks, p: int) -> np.ndarray:
-        """The stored coefficient fields k in ``ks`` on the P grid, stacked
-        (len(ks), 3 or 1, P, P, P), cached per (ks, P) and read-only:
-        state-free noise hands this stack to every consumer."""
-        key = (tuple(ks), p)
-        if key not in self._samples:
-            m = self.grid.m
-            stored = self.vector_fields or self.scalar_fields
-            coeffs = np.stack([stored[k - 1].coeffs.reshape(-1, m, m, m) for k in key[0]])
-            out = synthesize(coeffs, p, self.grid)
+    def _cached(self, key, compute) -> np.ndarray:
+        """compute() once per model, read-only: coefficient samples, sup norms."""
+        if key not in self._cache:
+            out = compute()
             out.flags.writeable = False
-            self._samples[key] = out
-        return self._samples[key]
+            self._cache[key] = out
+        return self._cache[key]
 
     # -- analytic per-family bounds -----------------------------------------
 

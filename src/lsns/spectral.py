@@ -45,6 +45,8 @@ import scipy.fft as sfft
 from .errors import ConfigurationError, GridMismatchError
 
 TWO_PI = 2.0 * np.pi
+# the round-off of an FFT of samples, relative to the largest coefficient
+_ROUNDOFF = 64 * np.finfo(float).eps
 
 
 def default_dealias_cutoff(m: int) -> int:
@@ -231,14 +233,21 @@ def synthesize(f: Field | np.ndarray, p: int, grid: Grid | None = None) -> np.nd
 def has_nyquist(c: np.ndarray) -> bool:
     """Whether full-layout coefficients c (..., M, M, M) hold more than
     round-off on a Nyquist plane (index M/2 on some axis): 64 eps of the
-    largest coefficient (the round-off of an FFT of samples, which a finer
-    grid may drop)."""
+    largest coefficient (``_ROUNDOFF``, which a finer grid may drop)."""
     h = c.shape[-1] // 2
     planes = (c[..., h, :, :], c[..., h, :], c[..., h])
     if not any(a.any() for a in planes):
         return False
-    tol = 64 * np.finfo(float).eps * np.max(np.abs(c))
+    tol = _ROUNDOFF * np.max(np.abs(c))
     return any(np.max(np.abs(a)) > tol for a in planes)
+
+
+def is_real_spectrum(c: np.ndarray) -> bool:
+    """Whether full-layout coefficients c (..., M, M, M) are the spectrum of
+    real samples: c[n] = conj c[-n] to ``has_nyquist``'s round-off."""
+    axes = (-3, -2, -1)
+    defect = np.abs(c - np.roll(np.flip(c, axes), 1, axes).conj())
+    return np.max(defect, initial=0.0) <= _ROUNDOFF * np.max(np.abs(c), initial=0.0)
 
 
 def _synthesize_real(c: np.ndarray, h: int, p: int) -> np.ndarray:

@@ -188,6 +188,24 @@ def test_run_experiment_parallel_matches_serial(tmp_path):
     assert json.dumps(s1["tests"], sort_keys=True) == json.dumps(s2["tests"], sort_keys=True)
 
 
+def test_pool_tasks_carry_the_parsed_config(tmp_path, monkeypatch):
+    # the workers run the config parsed once before the ensemble starts
+    monkeypatch.delenv("LSNS_WORKERS", raising=False)
+    cfgs = [ExperimentConfig.parse(base_config(
+        tmp_path / str(w), ensemble={"paths": 4, "seed": 421, "workers": w})) for w in (1, 2)]
+
+    def parse(cls, doc):
+        raise AssertionError("config parsed again inside the ensemble")
+
+    monkeypatch.setattr(ExperimentConfig, "parse", classmethod(parse))
+    for cfg in cfgs:
+        run_experiment(cfg)
+    for pid in range(4):
+        serial, pooled = ((tmp_path / str(w) / "out" / "paths" / f"path_{pid:06d}.json").read_text()
+                          for w in (1, 2))
+        assert pooled == serial
+
+
 def test_worker_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("LSNS_WORKERS", "1")
     cfg = ExperimentConfig.parse(base_config(tmp_path, ensemble={"paths": 2, "seed": 1, "workers": 8}))
@@ -299,6 +317,35 @@ def test_bad_initial_condition_fails_at_parse_time(tmp_path):
         doc = base_config(tmp_path)
         doc["run"]["initial_condition"] = spec
         with pytest.raises(ConfigurationError, match=message):
+            ExperimentConfig.parse(doc)
+        path = tmp_path / f"bad_{i}.json"
+        path.write_text(json.dumps(doc))
+        res = CliRunner().invoke(cli_main, ["run", str(path)])
+        assert res.exit_code == 2, res.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_spectra_of_complex_fields_fail_at_parse_time(tmp_path):
+    # a solenoidal perturbation with c[n] != conj c[-n] survives the Leray
+    # projection, but its samples have an imaginary part
+    real = tmp_path / "real.lsns"
+    write_snapshot(real, taylor_green(G8, 0.6), 0.0)
+    c = taylor_green(G8, 0.6).coeffs.copy()
+    c[1, 1, 0, 0] += 0.05j
+    bad = tmp_path / "complex.lsns"
+    write_snapshot(bad, SpectralField(G8, c), 0.0)
+    ic = base_config(tmp_path)
+    ic["run"]["initial_condition"] = {"kind": "snapshot", "path": str(real)}
+    noise = base_config(tmp_path)
+    noise["run"]["epsilon"] = 1.0  # N = 2 fits the two stored fields
+    noise["noise"] = {"kind": "additive", "coefficient_files": [str(real), str(real)]}
+    for doc in (ic, noise):
+        ExperimentConfig.parse(doc)
+    ic["run"]["initial_condition"]["path"] = str(bad)
+    noise["noise"]["coefficient_files"][1] = str(bad)
+    for i, (doc, where) in enumerate([(ic, r"run\.initial_condition\.path"),
+                                      (noise, r"noise\.coefficient_files\[1\]")]):
+        with pytest.raises(ConfigurationError, match=where + ".*not the spectrum of a real field"):
             ExperimentConfig.parse(doc)
         path = tmp_path / f"bad_{i}.json"
         path.write_text(json.dumps(doc))

@@ -7,6 +7,9 @@ one only inside its function. Names listed in ``__all__`` and imports marked
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,3 +72,13 @@ def test_no_unused_imports():
     assert files
     unused = [u for f in files for u in unused_imports(f)]
     assert not unused, "imported but never read:\n" + "\n".join(unused)
+
+
+def test_run_path_does_not_import_scipy_integrate():
+    # scipy.integrate pulls scipy.optimize and scipy.sparse.linalg into every
+    # process: set-up time and resident memory; only the oracles need it
+    code = ("import sys, lsns.ensemble, lsns.cli; "
+            "sys.exit('scipy.integrate' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -4,8 +4,10 @@ from scipy.integrate import quad
 
 from lsns.errors import ConfigurationError, GridMismatchError
 from lsns.mollifier import (
+    _RULE_Q_MAX,
     _bump_radial,
     bump_mass,
+    bump_transform_raw,
     make_mollifier,
     mollify,
     multiplier_on_modes,
@@ -106,3 +108,30 @@ def test_multiplier_on_modes_agrees_with_grid_array():
     m = make_mollifier(g, 0.25, "paper_bump")
     vals = multiplier_on_modes("paper_bump", 0.25, g.k2)
     assert np.max(np.abs(vals - m.multiplier)) < 1e-14
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_bump_rule_matches_adaptive_quadrature_on_checked_range():
+    # the fixed Gauss-Legendre rule against adaptive quadrature at its tightest
+    # (quad may warn that round-off caps its own error estimate)
+    tight = dict(epsabs=1e-15, epsrel=1e-14, limit=200)
+    mass, _ = quad(lambda r: 4 * np.pi * r * r * _bump_radial(r), 0, 1, **tight)
+    assert abs(bump_mass() - mass) <= 1e-14 * mass
+    qs = np.linspace(0.0, _RULE_Q_MAX, 241)
+
+    def transform(q):
+        val, _ = quad(lambda r: 4 * np.pi * r * _bump_radial(r) * np.sin(2 * np.pi * q * r)
+                      / (2 * np.pi * q), 0, 1, **tight)
+        return val / mass
+
+    ref = np.array([1.0] + [transform(q) for q in qs[1:]])
+    assert np.max(np.abs(bump_transform_raw(qs) - ref)) <= 1e-14
+
+
+def test_bump_rule_refuses_q_past_checked_range():
+    with pytest.raises(ConfigurationError, match="checked range"):
+        bump_transform_raw(np.array([1.0, _RULE_Q_MAX * 1.01]))
+    with pytest.raises(ConfigurationError, match="checked range"):
+        radial_multiplier("paper_bump", _RULE_Q_MAX + 1.0, raw=True)
+    # the solver profile reads the rule inside the main lobe only
+    assert 0.0 < radial_multiplier("paper_bump", _RULE_Q_MAX + 1.0) < 1e-3

@@ -191,3 +191,31 @@ def test_table_modes_on_the_nyquist_plane_are_rejected():
     assert np.allclose(model.l2_norms(), 0.1 * 0.5 ** np.arange(1, 11), rtol=1e-12)
     with pytest.raises(ConfigurationError, match=r"k=11 .*M=4"):
         make_noise_model(g4, "additive", amplitude=0.1, ratio=0.5, max_k=11)
+
+
+def test_validators_synthesize_refined_sup_norms_once(monkeypatch):
+    # the growth, tail and vorticity bounds share one model's sup norms on the
+    # 2M grid: 64 fields and their 64 gradients, each synthesized once
+    g16 = Grid(16)
+    fields = [random_solenoidal(g16, seed=990 + i, amp=0.5) for i in range(3)]
+
+    def model():
+        return make_noise_model(g16, "linear_multiplicative", amplitude=0.3, max_k=64)
+
+    validators = [lambda m: validate_linear_growth(m, fields, 8),
+                  lambda m: validate_tail_decay(m, fields, [2, 4, 8, 64]),
+                  lambda m: validate_vorticity_control(m, fields, 8)]
+    alone = [v(model()) for v in validators]  # each on a model of its own
+
+    import lsns.noise
+
+    sizes = []
+
+    def counted(f, p, grid=None):
+        sizes.append(p)
+        return synthesize(f, p, grid)
+
+    monkeypatch.setattr(lsns.noise, "synthesize", counted)
+    shared = model()
+    assert [v(shared) for v in validators] == alone
+    assert sizes.count(32) == 64 + 64
