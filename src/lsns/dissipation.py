@@ -286,7 +286,9 @@ class DRLedger(Ledger):
     Each active step pairs its state with the spatial factor once
     (``DRPairing.weight``, on the smallest even grid P > 3K + bw, where the
     pairing is exact) and takes one weighted sum per ladder scale, so the
-    ladder adds no transform. Reports Cauchy differences between
+    ladder adds no transform; its time weight, the integral of theta over
+    the step, comes from a table built once per path
+    (``TestFunction.step_weights``). Reports Cauchy differences between
     consecutive ladder scales as the l -> 0 diagnostic (never
     extrapolated). Its series table has one ``SUM`` column per ladder
     scale, keyed by ell.
@@ -312,10 +314,11 @@ class DRLedger(Ledger):
         self._pairing = DRPairing(self.phi.spatial_values(p))
         self._mults = {v: self._pairing.multiplier(self.config.alpha_kind, v)
                        for v in self.config.ell_values}
+        self._w1 = self.phi.step_weights(view.ws.params.times)[0].tolist()
         self.push(view)
 
     def advance(self, view: StepView, nxt: StepView):
-        w1 = self.phi.theta_integral(view.t, nxt.t)
+        w1 = self._w1[view.index]
         incs = {}
         if w1 != 0.0:  # outside the temporal support every increment is 0.0
             p = self._pairing.p

@@ -10,7 +10,8 @@ state. Each ledger serializes itself into the path record and its per-path
 file.
 
 Workers parallelize over whole paths only, each task carrying the parsed
-config; the counter-based noise keys make results independent of scheduling.
+config, and each process building the config's noise model once; the
+counter-based noise keys make results independent of scheduling.
 Each finished path is written atomically to
 ``<output>/paths/path_XXXXXX.json`` together with the code version and the
 digest of the config blocks that determine its numbers, so an interrupted
@@ -47,14 +48,26 @@ WORKER_ENV = "LSNS_WORKERS"
 # per-path work
 
 
+# the noise model of the config a process is running, by its results digest:
+# the paths of an ensemble share it and its read-only coefficient stacks
+_NOISE_MODEL: dict = {}
+
+
+def _noise_model(cfg: ExperimentConfig, digest: str):
+    if digest not in _NOISE_MODEL:
+        _NOISE_MODEL.clear()
+        _NOISE_MODEL[digest] = cfg.noise_model()
+    return _NOISE_MODEL[digest]
+
+
 def run_one_path(cfg: ExperimentConfig, path_id: int) -> dict:
     """Integrate one path with every configured ledger; returns a JSON record."""
+    digest = cfg.results_digest()
     params = cfg.run_params(path_id)
-    noise = cfg.noise_model()
+    noise = _noise_model(cfg, digest)
     out = cfg.output_block()
     ledgers = cfg.ledgers()
-    record = {"path_id": path_id, "config_digest": cfg.results_digest(),
-              "code_version": __version__}
+    record = {"path_id": path_id, "config_digest": digest, "code_version": __version__}
     traj = Trajectory(params, noise)  # owns the path's Workspace; stores states for snapshots
     stream = em_path(params, initial_field(cfg), noise, traj.workspace)
     if out["save_snapshots"]:
@@ -94,6 +107,10 @@ def run_one_path(cfg: ExperimentConfig, path_id: int) -> dict:
 MIN_PATHS = 32
 
 
+def _few_paths(n: int) -> str:
+    return f"n = {n} < {MIN_PATHS} paths, too few for a normal-bar verdict"
+
+
 def _zero_mean(vals, bar: float = 4.0):
     """Two-sided z-test of mean zero: (statistics, ok, reason).
 
@@ -125,7 +142,7 @@ def summarize(cfg: ExperimentConfig, records: list[dict], wall_clock: float) -> 
     def judge(test: str, ok: bool | None, reason: str, n: int | None = None) -> bool:
         """Record a verdict; a statistical one over n < MIN_PATHS paths is degenerate."""
         if ok is not None and n is not None and n < MIN_PATHS:
-            ok, reason = None, f"n = {n} < {MIN_PATHS} paths, too few for a normal-bar verdict"
+            ok, reason = None, _few_paths(n)
         status = "degenerate" if ok is None else ("pass" if ok else "fail")
         verdicts.append({"test": test, "status": status, "reason": reason})
         return status == "pass"
@@ -165,13 +182,13 @@ def summarize(cfg: ExperimentConfig, records: list[dict], wall_clock: float) -> 
             outcomes = {}
             for xi_name, xi in cfg.xi_functionals().items():
                 rep = lei_scalar_check(ledgers, xi)
+                n = len(ledgers)
                 outcomes[xi_name] = {
                     "lhs": rep.lhs, "rhs": rep.rhs, "stderr": rep.stderr,
                     "passed": judge(f"{key}/lei/{xi_name}", rep.passed,
-                                    f"lhs - rhs = {rep.lhs - rep.rhs:.3g}, "
-                                    f"stderr {rep.stderr:.3g}", len(ledgers)),
+                                    _few_paths(n) if n < MIN_PATHS else rep.reason),
                 }
-            block["lei"] = {"criterion": "lei_scalar_3sigma", "outcomes": outcomes}
+            block["lei"] = {"criterion": "lei_scalar_identity", "outcomes": outcomes}
         tests[key] = block
 
     vort = [r["vorticity"] for r in good if "vorticity" in r]
@@ -261,6 +278,7 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> dict:
         for pid in todo:
             store(run_one_path(cfg, pid))
 
+    _NOISE_MODEL.clear()  # else the pool workers of a later run inherit it
     ordered = [records[pid] for pid in range(ens["paths"])]
     summary = summarize(cfg, ordered, wall_clock=time.perf_counter() - t0)
     atomic_write_json(outdir / "summary.json", summary)

@@ -117,6 +117,11 @@ class RunParams:
         return int(round(self.t_end / self.dt))
 
     @property
+    def times(self) -> np.ndarray:
+        """The step grid j dt, j = 0 .. n_steps, with the bits of ``StepView.t``."""
+        return np.arange(self.n_steps + 1) * self.dt
+
+    @property
     def truncation(self) -> TruncationLevel:
         return TruncationLevel.from_epsilon(self.epsilon)
 

@@ -27,11 +27,12 @@ Hermitian and zero outside the cut. The Leray projection and the curl are
 kernels on a list of modes (``_project``, ``_curl``) serving both layouts.
 
 Synthesis. ``synthesize`` evaluates a field, or a stack of fields in either
-layout, on the native grid (the inverse transform) or a finer P^3 grid (the
-ledgers' exact grids and the 2M pad) by one real route: y and x inverse
-transforms of the populated z half-spectrum, then a c2r transform along z,
-one field at a time. A field with more than round-off on a Nyquist plane is
-refused there.
+layout, one field at a time, by real transforms of the z half-spectrum. On
+the native grid (the inverse transform) that is one c2r ``irfftn``, exact
+for a real field's Hermitian spectrum, Nyquist planes included. On a finer
+P^3 grid (the ledgers' exact grids and the 2M pad) it is y and x inverse
+transforms of the populated z half-spectrum, then a c2r transform along z;
+a field with more than round-off on a Nyquist plane is refused there.
 """
 
 from __future__ import annotations
@@ -197,11 +198,13 @@ def synthesize(f: Field | np.ndarray, p: int, grid: Grid | None = None) -> np.nd
     last leading axis holds a field's components), so a stack costs its
     output and one field's transform.
 
-    One real route (``_synthesize_real``), exact for real fields whose
-    Nyquist planes are empty: every dealiased field, and the noise
-    coefficient fields, which the config checks. A Nyquist plane holding
-    more than round-off (``has_nyquist``) has no unique real extension to
-    a finer grid, so at P > M it raises rather than losing that content.
+    Real routes for real fields (Hermitian spectra). At P = M, one c2r
+    ``irfftn`` of the z half-spectrum, exact with populated Nyquist planes
+    too. At P > M, ``_synthesize_real``, exact when the Nyquist planes are
+    empty: every dealiased field, and the noise coefficient fields, which
+    the config checks. A Nyquist plane holding more than round-off
+    (``has_nyquist``) has no unique real extension to a finer grid, so at
+    P > M it raises rather than losing that content.
     """
     grid, c = (f.grid, f.coeffs) if grid is None else (grid, f)
     m = grid.m
@@ -214,7 +217,8 @@ def synthesize(f: Field | np.ndarray, p: int, grid: Grid | None = None) -> np.nd
         if not full:
             field = scatter(grid, field)
         if p == m:
-            return sfft.ifftn(field * m**3, axes=(-3, -2, -1)).real
+            return sfft.irfftn(field[..., :m // 2 + 1], s=(m, m, m), axes=(-3, -2, -1),
+                               norm="forward")
         if has_nyquist(field):
             raise ConfigurationError(
                 f"field with a populated Nyquist plane (|n_i| = M/2) cannot be synthesized "

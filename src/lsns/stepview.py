@@ -53,6 +53,7 @@ from .spectral import (
     curl,
     grad_components,
     l2_norm,
+    laplacian,
     synthesize,
 )
 
@@ -103,6 +104,9 @@ class StepView:
     def grad_u_phys(self, p: int) -> np.ndarray:
         """d u_j / d x_i, shape (3, 3, P, P, P)."""
         return self._get(("grad_u", p), lambda: synthesize(grad_components(self.u), p, self.grid))
+
+    def lap_u_phys(self, p: int) -> np.ndarray:
+        return self._get(("lap_u", p), lambda: synthesize(laplacian(self.u), p))
 
     def v_phys(self, p: int) -> np.ndarray:
         """Mollified advecting velocity psi_eps * u (zero when the test hook

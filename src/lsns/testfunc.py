@@ -82,8 +82,13 @@ class TemporalWindow:
                 f"ramp {self.ramp} must lie in (0, (b-a)/2] for support ({self.a}, {self.b})"
             )
 
+    def values(self, t) -> np.ndarray:
+        """theta at every time of the array t."""
+        t = np.asarray(t, dtype=float)
+        return chi((t - self.a) / self.ramp) * chi((self.b - t) / self.ramp)
+
     def value(self, t: float) -> float:
-        return float(chi((t - self.a) / self.ramp) * chi((self.b - t) / self.ramp))
+        return float(self.values(t))
 
     def derivative(self, t: float) -> float:
         ca = chi((t - self.a) / self.ramp)
@@ -92,12 +97,30 @@ class TemporalWindow:
         db = -chi_prime((self.b - t) / self.ramp) / self.ramp
         return float(da * cb + ca * db)
 
+    def integrals(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """(int theta dt, int theta^2 dt) over each step [t_j, t_j+1] of the
+        time grid ``times``, by 6-point Gauss quadrature summed in node order,
+        so a step's integrals have the same bits on any grid."""
+        times = np.asarray(times, dtype=float)
+        t1, t2 = times[:-1, None], times[1:, None]
+        half = 0.5 * (t2 - t1)
+        vals = self.values(0.5 * (t1 + t2) + half * _GAUSS_NODES)
+        return tuple(half[:, 0] * _node_sum(vals**power) for power in (1, 2))
+
     def integral(self, t1: float, t2: float, power: int = 1) -> float:
-        """int_{t1}^{t2} theta(t)^power dt by 6-point Gauss quadrature."""
-        mid, half = 0.5 * (t1 + t2), 0.5 * (t2 - t1)
-        nodes = mid + half * _GAUSS_NODES
-        vals = chi((nodes - self.a) / self.ramp) * chi((self.b - nodes) / self.ramp)
-        return float(half * np.sum(_GAUSS_WEIGHTS * vals**power))
+        """int_{t1}^{t2} theta(t)^power dt, power 1 or 2: the one-step case of
+        ``integrals``."""
+        if power not in (1, 2):
+            raise ValueError(f"power must be 1 or 2, got {power}")
+        return float(self.integrals((t1, t2))[power - 1][0])
+
+
+def _node_sum(vals: np.ndarray) -> np.ndarray:
+    """sum_q w_q vals[..., q] over the Gauss nodes, accumulated in node order."""
+    acc = _GAUSS_WEIGHTS[0] * vals[..., 0]
+    for q in range(1, len(_GAUSS_WEIGHTS)):
+        acc = acc + _GAUSS_WEIGHTS[q] * vals[..., q]
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -163,6 +186,20 @@ class TestFunction:
     label: str = "phi"
 
     # temporal factor
+    def step_weights(self, times) -> tuple[np.ndarray, ...]:
+        """The deterministic time weights of every step of the grid ``times``
+        (t_0 .. t_n): w1 and w2, the exact (Gauss) integrals of theta and
+        theta^2 over [t_j, t_j+1], the increments theta(t_j+1) - theta(t_j)
+        (the exact integral of dtheta/dt), and theta at every t_j. The
+        ledgers tabulate them once per path, so only adapted factors are
+        left-endpoint approximations."""
+        times = np.asarray(times, dtype=float)
+        if self.temporal is None:
+            dt = np.diff(times)
+            return dt, dt, np.zeros_like(dt), np.ones_like(times)
+        theta = self.temporal.values(times)
+        return (*self.temporal.integrals(times), np.diff(theta), theta)
+
     def theta(self, t: float) -> float:
         return 1.0 if self.temporal is None else self.temporal.value(t)
 
@@ -170,9 +207,7 @@ class TestFunction:
         return 0.0 if self.temporal is None else self.temporal.derivative(t)
 
     def theta_integral(self, t1: float, t2: float, power: int = 1) -> float:
-        """Exact (Gauss) step integral of theta^power; the deterministic time
-        weight used by the ledgers so that only adapted factors are
-        left-endpoint approximations."""
+        """One step's ``step_weights`` w1 (power 1) or w2 (power 2)."""
         if self.temporal is None:
             return t2 - t1
         return self.temporal.integral(t1, t2, power)

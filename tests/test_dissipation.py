@@ -101,6 +101,30 @@ def make_ledgers(p, u0, noise, phi, cfg):
     return el, dl
 
 
+def test_ledgers_tabulate_temporal_weights_once_per_path(monkeypatch):
+    # the energy and DR ledgers read their temporal weights from one table per
+    # path: no per-step quadrature
+    calls = {"integral": 0, "integrals": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return f(*args, **kw)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(TemporalWindow, name, counted(name, getattr(TemporalWindow, name)))
+    t_end = 0.125
+    p = RunParams(nu=0.02, epsilon=0.25, dt=1.0 / 64, t_end=t_end, grid=G8, seed=5)
+    phi = TestFunction(SpatialBump(exponent=2),
+                       TemporalWindow(t_end / 4, 3 * t_end / 4, t_end / 8))
+    noise = make_noise_model(G8, "additive", amplitude=0.2, max_k=6)
+    el, dl = make_ledgers(p, taylor_green(G8, 0.5), noise, phi,
+                          DRConfig(ell_values=(1.0 / 4, 1.0 / 8)))
+    assert el.compensator[-1] > 0.0 and dl.series[0.25][-1] != 0.0  # both were active
+    assert calls == {"integral": 0, "integrals": 2}
+
+
 def test_dr_ledger_smooth_field_cauchy_trend():
     # noise off, smooth decaying solution: D^l -> 0 with l, and consecutive
     # Cauchy differences shrink

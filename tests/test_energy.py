@@ -305,14 +305,16 @@ def test_lei_scalar_check_cases():
         p = params(dt=1.0 / 64, path_id=pid)
         ledgers.append(run_ledger(p, taylor_green(G8, 0.7), noise, phi))
 
+    # N is defined as the residual, so the check is an identity: degenerate
     rep = lei_scalar_check(ledgers, xi=lambda led: 1.0)
-    assert rep.passed
+    assert rep.passed is None and rep.reason.startswith("identity")
+    assert rep.lhs == pytest.approx(rep.rhs, rel=1e-12)
 
     rep0 = lei_scalar_check(ledgers, xi=lambda led: 0.0)
-    assert rep0.lhs == 0.0 and rep0.rhs == 0.0 and rep0.passed
+    assert rep0.lhs == 0.0 and rep0.rhs == 0.0 and rep0.passed is None
 
     bounded = lambda led: 1.0 / (1.0 + max(led.state_l2) ** 2)
-    assert lei_scalar_check(ledgers, xi=bounded).passed
+    assert lei_scalar_check(ledgers, xi=bounded).passed is None
 
     with pytest.raises(ConfigurationError):
         lei_scalar_check(ledgers, xi=lambda led: -1.0)

@@ -237,6 +237,36 @@ def test_t_zero_initial_state_only(tmp_path):
     assert not rec["blown_up"]
 
 
+def test_paths_share_one_noise_model_per_config(tmp_path, monkeypatch):
+    # a process builds a config's noise model once; its paths' records equal
+    # those of paths that each build their own
+    import lsns.ensemble
+
+    built = []
+    noise_model = ExperimentConfig.noise_model
+    monkeypatch.setattr(ExperimentConfig, "noise_model",
+                        lambda cfg: built.append(cfg) or noise_model(cfg))
+    monkeypatch.setattr(lsns.ensemble, "_NOISE_MODEL", {})
+    doc = base_config(tmp_path)
+    cfg = ExperimentConfig.parse(doc)
+    built.clear()  # parsing builds one to check it
+    shared = [run_one_path(cfg, pid) for pid in range(3)]
+    assert len(built) == 1
+    own = []
+    for pid in range(3):
+        lsns.ensemble._NOISE_MODEL.clear()
+        own.append(run_one_path(cfg, pid))
+    assert own == shared and len(built) == 4
+    doc["noise"]["amplitude"] *= 2  # another config: a model of its own
+    other = ExperimentConfig.parse(doc)
+    built.clear()
+    run_one_path(other, 0)
+    assert len(built) == 1
+    # a finished run drops its model, which pool workers forked later would inherit
+    run_experiment(cfg, resume=False)
+    assert len(built) == 2 and lsns.ensemble._NOISE_MODEL == {}
+
+
 def test_stepless_vorticity_ledger_gives_degenerate_holder_verdict(tmp_path):
     # with t_end = 0 no Hoelder margin exists: the verdict is degenerate, not a
     # pass, and the margin is written as null, never as Infinity

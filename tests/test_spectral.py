@@ -257,6 +257,39 @@ def test_synthesize_refuses_nyquist_content():
     assert np.array_equal(synthesize(SpectralField(g, w), 16), synthesize(v, 16))
 
 
+def test_native_synthesis_matches_the_complex_inverse_transform():
+    # P = M is one c2r transform of the z half-spectrum: exact for Hermitian
+    # spectra, populated Nyquist planes included
+    import scipy.fft as sfft
+    from lsns.integrate import RunParams, Workspace
+    from lsns.noise import make_noise_model
+    from lsns.spectral import grad_components, scatter
+
+    def inverse(c, m):
+        return sfft.ifftn(c * m**3, axes=(-3, -2, -1)).real
+
+    def rel(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    g = Grid(8)
+    u = random_field(g, seed=81)
+    assert np.any(u.coeffs[:, 4] != 0) and np.any(u.coeffs[..., 4] != 0)
+    assert rel(synthesize(u, 8), inverse(u.coeffs, 8)) <= 1e-15
+
+    g16 = Grid(16)
+    v = random_solenoidal(g16, seed=83)
+    grad = grad_components(v)
+    got = synthesize(grad, 16, g16)
+    assert got.shape == (3, 3, 16, 16, 16)
+    assert rel(got, inverse(grad, 16)) <= 1e-15
+
+    p = RunParams(nu=0.02, epsilon=0.25, dt=1.0 / 64, t_end=0.25, grid=g16, seed=1)
+    ws = Workspace(p, make_noise_model(g16, "cosine", amplitude=0.3, max_k=8))
+    stack = ws.noise_modes("projected", v, {})
+    assert stack.shape == (ws.n_noise, 3, g16.modes.full.size)
+    assert rel(synthesize(stack, 16, g16), inverse(scatter(g16, stack), 16)) <= 1e-15
+
+
 def test_dealias_masks_high_modes():
     g = Grid(8)
     u = random_field(g, seed=71)

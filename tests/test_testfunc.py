@@ -53,6 +53,29 @@ def test_temporal_integral_exactness():
     assert w.integral(0.26, 0.34) == pytest.approx(riemann, rel=1e-7)
 
 
+@pytest.mark.parametrize("dt", [1.0 / 512, 1.0 / 256])
+@pytest.mark.parametrize("temporal", [TemporalWindow(0.0625, 0.1875, 0.03125), None])
+def test_step_weights_equal_the_scalar_helpers(dt, temporal):
+    # the table the ledgers build once per path has the bits of the one-step
+    # helpers, on a grid running past the support on both sides
+    phi = TestFunction(SpatialBump(exponent=2), temporal)
+    n = 128
+    times = np.arange(n + 1) * dt
+    w1, w2, dth, theta = phi.step_weights(times)
+    steps = list(zip(times[:-1], times[1:]))
+    assert np.array_equal(w1, [phi.theta_integral(a, b) for a, b in steps])
+    assert np.array_equal(w2, [phi.theta_integral(a, b, power=2) for a, b in steps])
+    assert np.array_equal(dth, [phi.theta_increment(a, b) for a, b in steps])
+    assert np.array_equal(theta, [phi.theta(t) for t in times])
+    if temporal is not None:  # outside the support every weight is exactly 0.0
+        outside = (times[1:] <= temporal.a) | (times[:-1] >= temporal.b)
+        assert outside.any() and not outside.all()
+        assert not np.any(w1[outside]) and not np.any(w2[outside])
+        assert not np.any(dth[outside])
+    else:
+        assert np.all(theta == 1.0) and not np.any(dth)
+
+
 def test_spatial_bump_nonnegative_and_derivatives():
     for m in [1, 2, 4]:
         bump = SpatialBump(center=(0.3, 0.5, 0.7), exponent=m)
