@@ -48,8 +48,9 @@ WORKER_ENV = "LSNS_WORKERS"
 # per-path work
 
 
-# the noise model of the config a process is running, by its results digest:
-# the paths of an ensemble share it and its read-only coefficient stacks
+# the noise model of the config a process is running or replaying, by its
+# results digest: the paths of an ensemble, and the manifests replayed one
+# after another, share it and its read-only coefficient stacks
 _NOISE_MODEL: dict = {}
 
 
@@ -271,6 +272,7 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> dict:
         records[pid] = rec
 
     if workers > 1 and len(todo) > 1:
+        _NOISE_MODEL.clear()  # a replay's model, which every worker would inherit
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for rec in pool.map(run_one_path, [cfg] * len(todo), todo):
                 store(rec)
@@ -297,7 +299,7 @@ def replay(manifest_path, diagnostics_spec: dict, output_dir=None) -> dict:
     doc = json.loads(json.dumps(run_config))
     doc["diagnostics"] = diagnostics_spec
     cfg = ExperimentConfig.parse(doc)
-    traj = load_trajectory(manifest_path.parent, cfg.noise_model())
+    traj = load_trajectory(manifest_path.parent, _noise_model(cfg, cfg.results_digest()))
     ledgers = drive(views_from_trajectory(traj), cfg.ledgers())
 
     outdir = Path(output_dir) if output_dir else manifest_path.parent / "replay"

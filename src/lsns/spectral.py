@@ -30,9 +30,13 @@ Synthesis. ``synthesize`` evaluates a field, or a stack of fields in either
 layout, one field at a time, by real transforms of the z half-spectrum. On
 the native grid (the inverse transform) that is one c2r ``irfftn``, exact
 for a real field's Hermitian spectrum, Nyquist planes included. On a finer
-P^3 grid (the ledgers' exact grids and the 2M pad) it is y and x inverse
-transforms of the populated z half-spectrum, then a c2r transform along z;
-a field with more than round-off on a Nyquist plane is refused there.
+P^3 grid (the ledgers' exact grids and the 2M pad) it transforms only the
+populated coefficient box |n_x|, |n_y| <= b, 0 <= n_z <= b: y inverse
+transforms of its lines, x inverse transforms of the P (b+1) lines they
+fill, then a c2r transform along z (``_synthesize_box``). Retained-mode
+values are that box already (b = K, in ``ModeMap`` order), so they are
+never scattered; a full layout is cut to b = M/2 - 1, and a field with more
+than round-off on a Nyquist plane is refused there.
 """
 
 from __future__ import annotations
@@ -199,38 +203,47 @@ def synthesize(f: Field | np.ndarray, p: int, grid: Grid | None = None) -> np.nd
     output and one field's transform.
 
     Real routes for real fields (Hermitian spectra). At P = M, one c2r
-    ``irfftn`` of the z half-spectrum, exact with populated Nyquist planes
-    too. At P > M, ``_synthesize_real``, exact when the Nyquist planes are
-    empty: every dealiased field, and the noise coefficient fields, which
-    the config checks. A Nyquist plane holding more than round-off
-    (``has_nyquist``) has no unique real extension to a finer grid, so at
-    P > M it raises rather than losing that content.
+    ``irfftn`` of the z half-spectrum (retained modes are put there through
+    ``ModeMap.half``), exact with populated Nyquist planes too. At P > M,
+    ``_synthesize_box`` of the populated coefficient box: the retained modes
+    themselves, or |n_i| < M/2 of the full layout (which retained modes
+    reaching the Nyquist planes, K = M/2, are scattered to). That is exact
+    when the Nyquist planes are empty: every dealiased field, and the noise
+    coefficient fields, which the config checks. A Nyquist plane holding
+    more than round-off (``has_nyquist``) has no unique real extension to a
+    finer grid, so at P > M it raises rather than losing that content.
     """
     grid, c = (f.grid, f.coeffs) if grid is None else (grid, f)
-    m = grid.m
+    m, k = grid.m, grid.dealias_cutoff
     if p < m:
         raise ConfigurationError(f"synthesis grid P={p} finer than source M={m} required")
     full = c.shape[-3:] == (m, m, m)
+    if not full and 2 * k + 1 > m:  # K = M/2: the retained modes reach the Nyquist planes
+        c, full = scatter(grid, c), True
     lead = c.shape[:-3] if full else c.shape[:-1]
-
-    def one(field):
-        if not full:
-            field = scatter(grid, field)
-        if p == m:
-            return sfft.irfftn(field[..., :m // 2 + 1], s=(m, m, m), axes=(-3, -2, -1),
-                               norm="forward")
-        if has_nyquist(field):
-            raise ConfigurationError(
-                f"field with a populated Nyquist plane (|n_i| = M/2) cannot be synthesized "
-                f"exactly on P={p} > M={m}"
-            )
-        return _synthesize_real(field, m // 2, p)
-
-    if len(lead) <= 1:
-        return one(c)
+    h = m // 2
+    b = h - 1 if full else k  # the box: |n_i| < M/2, or the retained modes
+    if p > m:  # the retained modes, every StepView field's box, keep their buffers
+        buffers = (_pass_buffers if full else _kept_pass_buffers)(lead[-1:], b, p)
+        keep = np.r_[0:b + 1, m - b:m]  # the box's rows, in fftfreq order
     out = np.empty(lead + (p, p, p))
     for i in np.ndindex(lead[:-1]):
-        out[i] = one(c[i])
+        field = c[i]
+        if p == m:
+            if not full:  # into the rfftn layout
+                half = np.zeros(field.shape[:-1] + (m * m * (h + 1),), dtype=complex)
+                half[..., grid.modes.half] = field
+                field = half.reshape(field.shape[:-1] + (m, m, h + 1))
+            out[i] = sfft.irfftn(field[..., :h + 1], s=(m, m, m), axes=(-3, -2, -1),
+                                 norm="forward")
+            continue
+        if full and has_nyquist(field):
+            raise ConfigurationError(
+                f"field with a populated Nyquist plane (|n_i| = M/2) cannot be synthesized "
+                f"exactly on P={p} > M={m}")
+        box = (field[..., keep[:, None], keep, :b + 1] if full
+               else field.reshape(field.shape[:-1] + (2 * b + 1, 2 * b + 1, b + 1)))
+        _synthesize_box(box, out[i], buffers)
     return out
 
 
@@ -254,22 +267,39 @@ def is_real_spectrum(c: np.ndarray) -> bool:
     return np.max(defect, initial=0.0) <= _ROUNDOFF * np.max(np.abs(c), initial=0.0)
 
 
-def _synthesize_real(c: np.ndarray, h: int, p: int) -> np.ndarray:
-    """Real P^3 samples of Hermitian coefficients c (M = 2h per axis) with
-    empty Nyquist planes, one axis at a time: the z half-spectrum is
-    transformed along y and x only where it is populated, then c2r along z.
-    About a third of the work of a padded c2c transform."""
-    lead = c.shape[:-3]
-    half = c[..., :h]                                   # kz = 0 .. h-1
-    a = np.zeros(lead + (2 * h, p, h), dtype=complex)   # pad y to P
-    a[..., :h, :] = half[..., :h, :]
-    a[..., p - h + 1:, :] = half[..., h + 1:, :]
-    a = sfft.ifft(a, axis=-2, norm="forward")
-    b = np.zeros(lead + (p, p, h), dtype=complex)       # pad x to P
-    b[..., :h, :, :] = a[..., :h, :, :]
-    b[..., p - h + 1:, :, :] = a[..., h + 1:, :, :]
-    b = sfft.ifft(b, axis=-3, norm="forward", overwrite_x=True)
-    return sfft.irfft(b, n=p, axis=-1, norm="forward")
+def _pass_buffers(lead: tuple, b: int, p: int) -> tuple:
+    """The buffers of ``_synthesize_box``'s y and x passes for a box of
+    half-width b with leading axes ``lead``."""
+    return (np.empty(lead + (2 * b + 1, p, b + 1), dtype=complex),
+            np.empty(lead + (p, p, b + 1), dtype=complex))
+
+
+# the retained-mode boxes' buffers, kept across calls
+_kept_pass_buffers = lru_cache(maxsize=8)(_pass_buffers)
+
+
+def _synthesize_box(box: np.ndarray, out: np.ndarray, buffers: tuple):
+    """Real P^3 samples ``out`` (..., P, P, P) of a real field whose
+    coefficients (n_x, n_y, n_z) lie in the box |n_x|, |n_y| <= b,
+    0 <= n_z <= b (b < P/2), given as ``box`` (..., 2b+1, 2b+1, b+1) in
+    ``fftfreq`` order on the first two axes (the retained-mode order of
+    ``ModeMap``; the n_z < 0 half follows by symmetry). One axis at a time
+    through ``_pass_buffers``, only where the box is populated: y inverse
+    transforms of its (2b+1)(b+1) lines, x of the P(b+1) they fill, then c2r
+    along z."""
+    b, p = box.shape[-1] - 1, out.shape[-1]
+    ya, xa = buffers  # each filled whole, padding too: the passes run in place
+    ya[..., :b + 1, :] = box[..., :b + 1, :]
+    ya[..., b + 1:p - b, :] = 0
+    ya[..., p - b:, :] = box[..., b + 1:, :]
+    y = sfft.ifft(ya, axis=-2, norm="forward", overwrite_x=True)
+    xa[..., :b + 1, :, :] = y[..., :b + 1, :, :]
+    xa[..., b + 1:p - b, :, :] = 0
+    xa[..., p - b:, :, :] = y[..., b + 1:, :, :]
+    x = sfft.ifft(xa, axis=-3, norm="forward", overwrite_x=True)
+    # numpy's c2r zero-pads each line to P/2+1 in a line buffer, where scipy
+    # pads the whole array, and writes into out: the same bits
+    np.fft.irfft(x, n=p, axis=-1, norm="forward", out=out)
 
 
 # ---------------------------------------------------------------------------

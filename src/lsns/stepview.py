@@ -7,8 +7,12 @@ accessor taking the synthesis grid size P: a ledger asks for the smallest
 grid (from the native M up to the padded ``pad`` = 2M) on which its
 integrand is exactly resolved, and for ``pad`` where no finite grid is.
 Every synthesis goes through ``spectral.synthesize``, one call per field or
-stack: a gradient's 3 x 3 components, and each kind of noise field, whose N
-fields come as one (N, 3, R) stack on the retained modes
+stack, and every field goes there as values on the retained modes: u is
+gathered onto them once per view, and each field follows from it by its
+per-mode factor (2 pi i n for a gradient, -4 pi^2 |n|^2 for the Laplacian,
+the mollifier's multiplier, the curl kernel), so no full layout is built. A
+gradient comes as its 3 x 3 components, the pressure as its retained modes,
+and each kind of noise field as one (N, 3, R) stack
 (``Workspace.noise_modes``). Fields that follow from cached samples take
 none: the vorticity is the antisymmetric part of the velocity gradient's
 samples, and the unmollified noise sigma_k(u) is evaluated pointwise from
@@ -44,16 +48,15 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .integrate import RunParams, Trajectory, Workspace, em_path
-from .mollifier import mollify
 from .noise import NoiseModel
 from .persist import write_csv
 from .spectral import (
+    TWO_PI,
     ScalarField,
     SpectralField,
-    curl,
-    grad_components,
+    curl_modes,
+    gather,
     l2_norm,
-    laplacian,
     synthesize,
 )
 
@@ -95,39 +98,49 @@ class StepView:
     def state_l2(self) -> float:
         return self._get("state_l2", lambda: l2_norm(self.u))
 
+    @property
+    def u_modes(self) -> np.ndarray:
+        """u on the retained modes, (3, R): every field below is built from it."""
+        return self._get("u_modes", lambda: gather(self.grid, self.u.coeffs))
+
+    def _grad_modes(self, c: np.ndarray) -> np.ndarray:
+        """Retained modes of d c_j / d x_i, (3, 3, R), index [i, j]."""
+        return TWO_PI * 1j * self.grid.modes.n[:, None] * c[None, :]
+
+    def _synth(self, key, p: int, modes):
+        """The samples on the P grid of the retained-mode stack ``modes()``."""
+        return self._get((key, p), lambda: synthesize(modes(), p, self.grid))
+
     def u_phys(self, p: int) -> np.ndarray:
-        return self._get(("u", p), lambda: synthesize(self.u, p))
+        return self._synth("u", p, lambda: self.u_modes)
 
     def u_sq(self, p: int) -> np.ndarray:
         return self._get(("u_sq", p), lambda: np.sum(self.u_phys(p) ** 2, axis=0))
 
     def grad_u_phys(self, p: int) -> np.ndarray:
         """d u_j / d x_i, shape (3, 3, P, P, P)."""
-        return self._get(("grad_u", p), lambda: synthesize(grad_components(self.u), p, self.grid))
+        return self._synth("grad_u", p, lambda: self._grad_modes(self.u_modes))
 
     def lap_u_phys(self, p: int) -> np.ndarray:
-        return self._get(("lap_u", p), lambda: synthesize(laplacian(self.u), p))
+        return self._synth("lap_u", p,
+                           lambda: self.u_modes * (-(TWO_PI**2) * self.grid.modes.k2))
 
     def v_phys(self, p: int) -> np.ndarray:
         """Mollified advecting velocity psi_eps * u (zero when the test hook
         disables the advection, so the ledger matches the hooked system)."""
         if self.ws.params.hooks.disable_nonlinearity:
             return self._get(("v", p), lambda: np.zeros_like(self.u_phys(p)))
-        return self._get(("v", p), lambda: synthesize(mollify(self.u, self.ws.mol), p))
+        return self._synth("v", p, lambda: self.u_modes * self.ws.mol_modes)
 
     def p_phys(self, p: int) -> np.ndarray:
-        return self._get(("p", p), lambda: synthesize(self.pressure, p))
+        return self._synth("p", p, lambda: gather(self.grid, self.pressure.coeffs))
 
     def mollified_grad_u_phys(self, p: int) -> np.ndarray:
         """psi_eps * (d u_j / d x_i) (equals d(psi*u)/dx)."""
-        return self._get(("mol_grad_u", p), lambda: synthesize(
-            grad_components(self.u) * self.ws.mol.multiplier[None, None], p, self.grid))
+        return self._synth("mol_grad_u", p,
+                           lambda: self._grad_modes(self.u_modes) * self.ws.mol_modes)
 
     # -- vorticity -----------------------------------------------------------
-
-    @property
-    def omega(self) -> SpectralField:
-        return self._get("omega", lambda: curl(self.u))
 
     def omega_phys(self, p: int) -> np.ndarray:
         """curl u on the P grid: the antisymmetric part of ``grad_u_phys(p)``,
@@ -140,8 +153,8 @@ class StepView:
         return self._get(("omega", p), build)
 
     def grad_omega_phys(self, p: int) -> np.ndarray:
-        return self._get(("grad_omega", p),
-                         lambda: synthesize(grad_components(self.omega), p, self.grid))
+        return self._synth("grad_omega", p,
+                           lambda: self._grad_modes(curl_modes(self.grid, self.u_modes)))
 
     # -- noise fields at the left endpoint ------------------------------------
 

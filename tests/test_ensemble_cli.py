@@ -267,6 +267,52 @@ def test_paths_share_one_noise_model_per_config(tmp_path, monkeypatch):
     assert len(built) == 2 and lsns.ensemble._NOISE_MODEL == {}
 
 
+def test_replays_share_one_noise_model_per_config(tmp_path, monkeypatch):
+    # manifests replayed one after another share their config's model, with
+    # the bits of a model of their own; a run drops it before forking pool
+    # workers, which would inherit it
+    import lsns.ensemble
+
+    doc = base_config(tmp_path)
+    doc["noise"]["kind"] = "linear_multiplicative"
+    doc["ensemble"]["paths"] = 2
+    doc["output"]["save_snapshots"] = True
+    run_experiment(ExperimentConfig.parse(doc))
+    manifests = [tmp_path / "out" / f"trajectory_{pid:06d}" / "manifest.json" for pid in range(2)]
+    built = []
+    noise_model = ExperimentConfig.noise_model
+    monkeypatch.setattr(ExperimentConfig, "noise_model",
+                        lambda cfg: built.append(cfg) or noise_model(cfg))
+    monkeypatch.setattr(lsns.ensemble, "_NOISE_MODEL", {})
+    shared = [replay(m, doc["diagnostics"], tmp_path / "shared") for m in manifests]
+    assert len(built) == 3  # one per parse, which checks it, and one for both replays
+    for manifest, written in zip(manifests, shared):
+        lsns.ensemble._NOISE_MODEL.clear()
+        own = replay(manifest, doc["diagnostics"], tmp_path / "own")
+        for key, path in written.items():
+            assert Path(own[key]).read_bytes() == Path(path).read_bytes(), key
+    assert lsns.ensemble._NOISE_MODEL
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            assert lsns.ensemble._NOISE_MODEL == {}
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *args):
+            return map(fn, *args)
+
+    monkeypatch.setattr(lsns.ensemble, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.delenv(lsns.ensemble.WORKER_ENV, raising=False)
+    doc["ensemble"]["workers"] = 2
+    doc["output"]["directory"] = str(tmp_path / "pooled")
+    run_experiment(ExperimentConfig.parse(doc))
+
+
 def test_stepless_vorticity_ledger_gives_degenerate_holder_verdict(tmp_path):
     # with t_end = 0 no Hoelder margin exists: the verdict is degenerate, not a
     # pass, and the margin is written as null, never as Infinity

@@ -295,3 +295,76 @@ def test_dealias_masks_high_modes():
     u = random_field(g, seed=71)
     d = dealias(u)
     assert np.max(np.abs(d.coeffs[:, ~g.dealias_mask])) == 0.0
+
+
+def _mode_stacks(g):
+    """Retained-mode stacks of each kind a StepView synthesizes: a vector
+    field (3, R), its gradient (3, 3, R), a scalar pressure (R,) and a
+    noise stack (N, 3, R)."""
+    from lsns.integrate import RunParams, Workspace
+    from lsns.noise import make_noise_model
+    from lsns.spectral import TWO_PI, gather
+
+    u = random_solenoidal(g, seed=91)
+    um = gather(g, u.coeffs)
+    p = RunParams(nu=0.02, epsilon=0.25, dt=1.0 / 64, t_end=0.25, grid=g, seed=1)
+    ws = Workspace(p, make_noise_model(g, "cosine", amplitude=0.3, max_k=8))
+    return {"vector": um, "gradient": TWO_PI * 1j * g.modes.n[:, None] * um[None],
+            "pressure": gather(g, solve_pressure(u).coeffs),
+            "noise": ws.noise_modes("curl", u, {})}
+
+
+@pytest.mark.parametrize("m", [8, 16])
+def test_mode_stacks_synthesize_bitwise_as_their_full_layout(m):
+    # the retained modes go straight into the box kernel; their full layout
+    # is cut to the larger box |n_i| < M/2, whose extra lines are zero
+    import scipy.fft as sfft
+    from lsns.spectral import scatter
+
+    g = Grid(m)
+    for kind, modes in _mode_stacks(g).items():
+        full = scatter(g, modes)
+        for p in (m + 2, 2 * m):
+            got = synthesize(modes, p, g)
+            assert got.shape == modes.shape[:-1] + (p, p, p), kind
+            assert np.array_equal(got, synthesize(full, p, g)), (kind, p)
+        # P = M: one irfftn of the scattered z half-spectrum per field
+        lead = modes.shape[:-1]
+        want = np.empty(lead + (m, m, m))
+        for i in np.ndindex(lead[:-1]):
+            want[i] = sfft.irfftn(full[i][..., :m // 2 + 1], s=(m, m, m), axes=(-3, -2, -1),
+                                  norm="forward")
+        assert np.array_equal(synthesize(modes, m, g), want), kind
+
+
+def test_mode_stacks_with_nyquist_content_are_refused_on_finer_grids():
+    # with K = M/2 the retained modes reach the Nyquist planes
+    from lsns.spectral import gather
+
+    g = Grid(8, dealias_cutoff=4)
+    u = random_field(g, seed=81)
+    modes = gather(g, u.coeffs)
+    with pytest.raises(ConfigurationError, match="Nyquist"):
+        synthesize(modes, 16, g)
+    assert np.array_equal(synthesize(modes, 8, g), synthesize(u, 8))  # native grid: no loss
+    # without it they synthesize as their full layout does
+    v = SpectralField(g, random_solenoidal(Grid(8), seed=82).coeffs)
+    assert np.array_equal(synthesize(gather(g, v.coeffs), 16, g), synthesize(v, 16))
+
+
+def test_warm_gradient_synthesis_allocates_little_beyond_its_output():
+    # the y and x passes run in buffers kept across calls and the z pass
+    # writes into the output, so a warm (3, 3, R) synthesis on the 2M pad
+    # allocates little besides its output
+    import tracemalloc
+
+    g = Grid(16)
+    grad = _mode_stacks(g)["gradient"]
+    synthesize(grad, 32, g)
+    tracemalloc.start()
+    try:
+        out = synthesize(grad, 32, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * out.nbytes
