@@ -342,6 +342,24 @@ class DRLedger(Ledger):
     def store(self, record: dict):
         record["dissipation"] = self.payload()
 
+    def judge(self, records: list[dict], cfg, verdicts) -> dict:
+        """The dissipation block: the trend of the mean Cauchy differences."""
+        if not records:
+            return {}
+        cauchy = np.mean(np.asarray([r["dissipation"]["cauchy"] for r in records]), axis=0)
+        n_ell = len(cauchy) + 1
+        if n_ell < 3:  # fewer than two differences: no trend to judge
+            ok, reason = None, (f"{n_ell} ell values give {n_ell - 1} Cauchy "
+                                f"differences; a trend needs 3 ell values")
+        else:
+            ok = all(b <= a * 1.5 for a, b in zip(cauchy, cauchy[1:]))
+            reason = "each mean Cauchy difference <= 1.5x the previous"
+        return {"dissipation": {
+            "criterion": "dr_cauchy_trend",
+            "mean_cauchy_differences": [float(c) for c in cauchy],
+            "nonincreasing": verdicts.judge("dissipation/cauchy_trend", ok, reason),
+        }}
+
     def export(self, directory, path_id: int) -> Path:
         path = Path(directory) / f"dissipation_{path_id:06d}.json"
         atomic_write_json(path, {"times": list(self.time), "series": self._series_payload()})

@@ -192,6 +192,43 @@ class EnergyLedger(Ledger):
     def store(self, record: dict):
         record.setdefault("energy", {})[self.phi.label] = self.payload()
 
+    def judge(self, records: list[dict], cfg, verdicts) -> dict:
+        """This test function's block: N_T, QV gap, supermartingale window, LEI."""
+        ledgers = [self.from_payload(self.phi, r["energy"][self.phi.label]) for r in records]
+        if not ledgers:
+            return {}
+        key, n = self.key, len(ledgers)
+        block = {"criterion": "martingale_zero_mean_4sigma"}
+        block["terminal_martingale"], block["zero_mean_pass"] = verdicts.zero_mean(
+            f"{key}/terminal_martingale", [led.martingale[-1] for led in ledgers])
+        block["qv_gap"], block["qv_consistency_pass"] = verdicts.zero_mean(
+            f"{key}/qv_gap", [led.qv_realized[-1] - led.qv_predicted[-1] for led in ledgers])
+        if n < 2:  # the window and LEI tests need an ensemble
+            return {key: block}
+        window = cfg.supermartingale_window()
+        if window is not None:
+            rep = supermartingale_test(ledgers, *window, cfg.events())
+            worst = max(st.statistic for st in rep.statistics)
+            flat = next((f"event {st.event}: stderr = 0 over {st.n_active} active paths"
+                         for st in rep.statistics if st.stderr == 0.0), None)
+            block["supermartingale"] = {
+                "criterion": "supermartingale_3sigma_one_sided",
+                "statistics": [vars(st) for st in rep.statistics],
+                "passed": verdicts.judge(
+                    f"{key}/supermartingale", rep.passed,
+                    f"max one-sided statistic {worst:.3g} vs {rep.threshold:g}", n, flat),
+            }
+        if cfg.diagnostics().get("lei_xi") is not None:
+            outcomes = {}
+            for name, xi in cfg.xi_functionals().items():
+                rep = lei_scalar_check(ledgers, xi)
+                # no zero-stderr step: lhs - rhs is rounding by construction
+                outcomes[name] = {"lhs": rep.lhs, "rhs": rep.rhs, "stderr": rep.stderr,
+                                  "passed": verdicts.judge(f"{key}/lei/{name}", rep.passed,
+                                                           rep.reason, n)}
+            block["lei"] = {"criterion": "lei_scalar_identity", "outcomes": outcomes}
+        return {key: block}
+
 
 def index_at(times, t: float) -> int:
     """Index of time t on a ledger's stored step grid."""

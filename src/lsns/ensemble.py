@@ -7,7 +7,8 @@ Euler-Maruyama loop (``integrate.em_path``) once: the ledgers consume its
 StepViews as it goes, snapshots (when saved) are collected from the same
 stream at the output stride, and a path without ledgers keeps only its last
 state. Each ledger serializes itself into the path record and its per-path
-file.
+file, and ``summarize`` has each ledger of the plan judge the completed
+records (``judge``, see ``stepview.Ledger``) under the one rule of ``Verdicts``.
 
 Workers parallelize over whole paths only, each task carrying the parsed
 config, and each process building the config's noise model once; the
@@ -33,13 +34,12 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, initial_field
-from .energy import EnergyLedger, lei_scalar_check, mean_stderr, supermartingale_test
+from .energy import mean_stderr
 from .errors import BlowUpError, ConfigurationError
 from .integrate import Trajectory, em_path
 from .persist import atomic_write_json, save_trajectory, write_csv
 from .spectral import l2_norm
 from .stepview import drive, views_from_trajectory, views_of
-from .vorticity import vorticity_bounds_report
 
 WORKER_ENV = "LSNS_WORKERS"
 
@@ -108,133 +108,55 @@ def run_one_path(cfg: ExperimentConfig, path_id: int) -> dict:
 MIN_PATHS = 32
 
 
-def _few_paths(n: int) -> str:
-    return f"n = {n} < {MIN_PATHS} paths, too few for a normal-bar verdict"
+class Verdicts(list):
+    """The summary's verdicts {test, status, reason}. ``judge`` is the one
+    rule: a statistical verdict over n paths is degenerate when n < 2, then
+    when its stderr is zero (``flat`` says where), then when n < MIN_PATHS;
+    past those its bar (ok) decides. Given no n, ok decides; None is degenerate."""
 
+    def judge(self, test: str, ok: bool | None, reason: str,
+              n: int | None = None, flat: str | None = None) -> bool:
+        if n is not None:
+            if n < 2:
+                ok, reason = None, f"n = {n} < 2 paths"
+            elif flat is not None:
+                ok, reason = None, flat
+            elif n < MIN_PATHS:
+                ok, reason = None, f"n = {n} < {MIN_PATHS} paths, too few for a normal-bar verdict"
+        status = "degenerate" if ok is None else ("pass" if ok else "fail")
+        self.append({"test": test, "status": status, "reason": reason})
+        return status == "pass"
 
-def _zero_mean(vals, bar: float = 4.0):
-    """Two-sided z-test of mean zero: (statistics, ok, reason).
-
-    A sample with n < 2 or zero standard error gives no evidence either way:
-    ok is then None (degenerate), never a pass.
-    """
-    n = len(vals)
-    mean, se = mean_stderr(vals)
-    stats = {"mean": mean, "stderr": se, "z": mean / se if se > 0 else 0.0, "n": n}
-    if n < 2:
-        return stats, None, f"n = {n} < 2 paths"
-    if se == 0.0:
-        return stats, None, f"stderr = 0: all {n} paths give {mean:.6g}"
-    ok = abs(stats["z"]) <= bar
-    return stats, ok, f"|z| = {abs(stats['z']):.3g} {'<=' if ok else '>'} {bar:g}"
+    def zero_mean(self, test: str, vals, bar: float = 4.0):
+        """Two-sided z-test of mean zero over the paths' vals: (statistics, passed)."""
+        n, (mean, se) = len(vals), mean_stderr(vals)
+        z = mean / se if se > 0 else 0.0
+        ok = abs(z) <= bar
+        reason = f"|z| = {abs(z):.3g} {'<=' if ok else '>'} {bar:g}"
+        flat = f"stderr = 0: all {n} paths give {mean:.6g}" if se == 0.0 else None
+        return {"mean": mean, "stderr": se, "z": z, "n": n}, self.judge(test, ok, reason, n, flat)
 
 
 def summarize(cfg: ExperimentConfig, records: list[dict], wall_clock: float) -> dict:
-    """Reduce path records to the ensemble summary with named test outcomes.
-
-    Every verdict is listed in ``verdicts`` with a status (pass, fail or
-    degenerate) and a reason; ``all_passed`` holds when each one passed.
-    """
+    """Reduce path records to the ensemble summary: each ledger of the plan
+    judges the completed records, every verdict is listed in ``verdicts`` with
+    a status (pass, fail or degenerate) and a reason, and ``all_passed`` holds
+    when each one passed."""
     good = [r for r in records if not r["blown_up"]]
-    blown = [r for r in records if r["blown_up"]]
-    diag = cfg.diagnostics()
-    tests, verdicts = {}, []
-
-    def judge(test: str, ok: bool | None, reason: str, n: int | None = None) -> bool:
-        """Record a verdict; a statistical one over n < MIN_PATHS paths is degenerate."""
-        if ok is not None and n is not None and n < MIN_PATHS:
-            ok, reason = None, _few_paths(n)
-        status = "degenerate" if ok is None else ("pass" if ok else "fail")
-        verdicts.append({"test": test, "status": status, "reason": reason})
-        return status == "pass"
-
-    def zero_mean(test: str, vals):
-        stats, ok, reason = _zero_mean(vals)
-        return stats, judge(test, ok, reason, stats["n"])
-
-    for name, phi in cfg.test_functions().items():
-        ledgers = [EnergyLedger.from_payload(phi, r["energy"][name])
-                   for r in good if "energy" in r]
-        if not ledgers:
-            continue
-        key = f"energy:{name}"
-        block = {"criterion": "martingale_zero_mean_4sigma"}
-        block["terminal_martingale"], block["zero_mean_pass"] = zero_mean(
-            f"{key}/terminal_martingale", [led.martingale[-1] for led in ledgers])
-        block["qv_gap"], block["qv_consistency_pass"] = zero_mean(
-            f"{key}/qv_gap", [led.qv_realized[-1] - led.qv_predicted[-1] for led in ledgers])
-
-        window = cfg.supermartingale_window()
-        if window is not None and len(ledgers) >= 2:
-            rep = supermartingale_test(ledgers, *window, cfg.events())
-            worst = max(s.statistic for s in rep.statistics)
-            block["supermartingale"] = {
-                "criterion": "supermartingale_3sigma_one_sided",
-                "statistics": [
-                    {"event": s.event, "mean": s.mean, "stderr": s.stderr,
-                     "statistic": s.statistic, "n_active": s.n_active}
-                    for s in rep.statistics
-                ],
-                "passed": judge(f"{key}/supermartingale", rep.passed,
-                                f"max one-sided statistic {worst:.3g} vs {rep.threshold:g}",
-                                len(ledgers)),
-            }
-        if diag.get("lei_xi") is not None and len(ledgers) >= 2:
-            outcomes = {}
-            for xi_name, xi in cfg.xi_functionals().items():
-                rep = lei_scalar_check(ledgers, xi)
-                n = len(ledgers)
-                outcomes[xi_name] = {
-                    "lhs": rep.lhs, "rhs": rep.rhs, "stderr": rep.stderr,
-                    "passed": judge(f"{key}/lei/{xi_name}", rep.passed,
-                                    _few_paths(n) if n < MIN_PATHS else rep.reason),
-                }
-            block["lei"] = {"criterion": "lei_scalar_identity", "outcomes": outcomes}
-        tests[key] = block
-
-    vort = [r["vorticity"] for r in good if "vorticity" in r]
-    if vort:
-        nt, zero_ok = zero_mean("vorticity/terminal_martingale",
-                                [p["martingale"][-1] for p in vort])
-        rep = vorticity_bounds_report(vort)
-        tests["vorticity"] = {
-            "criterion": "vorticity_identity_zero_mean_4sigma",
-            "terminal_martingale": nt,
-            "zero_mean_pass": zero_ok,
-            "mean_sup_l1": rep.mean_sup_l1,
-            "mean_grad_norm": rep.mean_grad_norm,
-            "min_holder_margin": rep.min_holder_margin,
-            "holder_pass": judge("vorticity/holder", rep.holder_ok,
-                                 "no step: no Hoelder margin to compare"
-                                 if rep.min_holder_margin is None else
-                                 f"min Hoelder margin {rep.min_holder_margin:.3g} vs -1e-12"),
-            "norm_chain_pass": judge("vorticity/norm_chain", rep.norm_chain_ok,
-                                     "L1 / sqrt-moment chain at every step of every path"),
-        }
-
-    dr = [r["dissipation"] for r in good if "dissipation" in r]
-    if dr:
-        cauchy = np.mean(np.asarray([d["cauchy"] for d in dr]), axis=0)
-        n_ell = len(cauchy) + 1
-        if n_ell < 3:  # fewer than two differences: no trend to judge
-            ok, reason = None, (f"{n_ell} ell values give {n_ell - 1} Cauchy "
-                                f"differences; a trend needs 3 ell values")
-        else:
-            ok = all(b <= a * 1.5 for a, b in zip(cauchy, cauchy[1:]))
-            reason = "each mean Cauchy difference <= 1.5x the previous"
-        tests["dissipation"] = {
-            "criterion": "dr_cauchy_trend",
-            "mean_cauchy_differences": [float(c) for c in cauchy],
-            "nonincreasing": judge("dissipation/cauchy_trend", ok, reason),
-        }
-
+    ledgers = cfg.ledgers()
+    tests, verdicts = {}, Verdicts()
+    if ledgers and not good:
+        verdicts.judge("paths", None, f"no path of {len(records)} completed")
+    for led in ledgers:
+        tests.update(led.judge(good, cfg, verdicts))
     return {
         "schema_version": cfg.raw["schema_version"],
         "config_digest": cfg.digest(),
         "code_version": __version__,
         "paths_requested": len(records),
         "paths_completed": len(good),
-        "blowups": [{"path_id": r["path_id"], "step": r["blowup_step"]} for r in blown],
+        "blowups": [{"path_id": r["path_id"], "step": r["blowup_step"]}
+                    for r in records if r["blown_up"]],
         "tests": tests,
         "verdicts": verdicts,
         "all_passed": all(v["status"] == "pass" for v in verdicts),

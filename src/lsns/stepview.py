@@ -239,6 +239,10 @@ class Ledger:
     also records ``step``, ``time`` and ``state_l2`` from the view; its table
     lists them where its CSV has them. Each series reads as ``ledger.<name>``.
     A ledger with a per-path CSV sets ``CSV_COLUMNS`` and its file ``stem``.
+
+    ``store`` puts the ledger's ``payload`` into a path record, and
+    ``judge(records, cfg, verdicts)`` reads it back from the completed records,
+    judges them through ``ensemble.Verdicts`` and returns its summary blocks.
     """
 
     RECORDED: tuple = ()  # series the path record keeps besides time and state_l2

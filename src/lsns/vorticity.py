@@ -268,10 +268,30 @@ class VorticityLedger(Ledger):
     def store(self, record: dict):
         record["vorticity"] = self.payload()
 
+    def judge(self, records: list[dict], cfg, verdicts) -> dict:
+        """The vorticity block: N_T's zero-mean test, the Hoelder and norm chains."""
+        payloads = [r["vorticity"] for r in records]
+        if not payloads:
+            return {}
+        nt, zero_ok = verdicts.zero_mean("vorticity/terminal_martingale",
+                                         [p["martingale"][-1] for p in payloads])
+        rep = vorticity_bounds_report(payloads)
+        margin = rep.min_holder_margin
+        return {"vorticity": {
+            "criterion": "vorticity_identity_zero_mean_4sigma",
+            "terminal_martingale": nt, "zero_mean_pass": zero_ok,
+            "mean_sup_l1": rep.mean_sup_l1, "mean_grad_norm": rep.mean_grad_norm,
+            "min_holder_margin": margin,
+            "holder_pass": verdicts.judge("vorticity/holder", rep.holder_ok,
+                                          "no step: no Hoelder margin to compare" if margin is None
+                                          else f"min Hoelder margin {margin:.3g} vs -1e-12"),
+            "norm_chain_pass": verdicts.judge("vorticity/norm_chain", rep.norm_chain_ok,
+                                              "L1 / sqrt-moment chain at every step of every path"),
+        }}
+
 
 @dataclass(frozen=True)
 class VorticityBoundsReport:
-    paths: int
     mean_sup_l1: float
     stderr_sup_l1: float
     mean_grad_norm: float
@@ -298,7 +318,6 @@ def vorticity_bounds_report(payloads: list[dict]) -> VorticityBoundsReport:
     margins = [p["min_holder_margin"] for p in payloads if p["min_holder_margin"] is not None]
     minm = float(min(margins)) if margins else None
     return VorticityBoundsReport(
-        paths=len(payloads),
         mean_sup_l1=mean_l1,
         stderr_sup_l1=stderr_l1,
         mean_grad_norm=mean_gn,
