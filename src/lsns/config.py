@@ -3,15 +3,19 @@
 Blocks: ``run`` (solver parameters), ``noise`` (coefficient family),
 ``diagnostics`` (which ledgers and tests to compute), ``ensemble`` (path
 count, base seed, workers) and ``output`` (directory, stride, what to
-persist). Parsing then serializing is the identity on the canonical form,
-and the SHA-256 of the canonical form stamps every output for provenance.
+persist). ``SCHEMA`` (each key's JSON type) and ``REQUIRED`` are the one
+statement of the keys: parsing refuses any other key, a missing one or a
+value of the wrong type, and the readers pass on only the keys a document
+sets, so each default lives in the object it configures. Parsing then
+serializing is the identity on the canonical form, and the SHA-256 of the
+canonical form stamps every output for provenance.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,66 +41,79 @@ from .vorticity import HFunction, VorticityLedger
 SCHEMA_VERSION = 1
 
 
-def _need(block: dict, key: str, kind, where: str):
-    if key not in block:
-        raise ConfigurationError(f"{where}.{key}: missing")
-    val = block[key]
-    if kind is float and isinstance(val, int):
-        val = float(val)
-    if not isinstance(val, kind):
-        raise ConfigurationError(f"{where}.{key}: expected {kind.__name__}, got {type(val).__name__}")
-    return val
-
-
-def _opt(block: dict, key: str, default):
-    return block.get(key, default)
-
-
-def _keys(names: str) -> dict:
-    return dict.fromkeys(names.split())
-
-
-# The keys each block accepts: a dict value is a sub-block, a one-element list
-# the schema of each entry of a list of sub-blocks, None a plain value.
+# Every key the config accepts, with its JSON type: a dict is a block, a
+# one-element list a list of that entry (a list of blocks where the entry is a
+# dict), and a leaf a type (float also takes a JSON integer, int no bool).
 SCHEMA = {
-    "schema_version": None,
-    "run": {**_keys("nu epsilon dt t_end m dealias_cutoff scheme mollifier_kind"),
-            "initial_condition": _keys("kind amplitude seed smooth path")},
-    "noise": _keys("kind amplitude ratio max_k flatness coefficient_files tail_beyond_max_k"),
-    "diagnostics": {
-        "test_functions": [{"name": None, "spatial": _keys("center exponent"),
-                            "temporal": _keys("a b ramp")}],
-        "events": [_keys("kind at q")],
-        "supermartingale": _keys("s t"),
-        "lei_xi": None,
-        "vorticity": _keys("delta"),
-        "dissipation": _keys("ell_values alpha_kind"),
+    "schema_version": int,
+    "run": {
+        "nu": float, "epsilon": float, "dt": float, "t_end": float, "m": int,
+        "dealias_cutoff": int, "scheme": str, "mollifier_kind": str,
+        "initial_condition": {"kind": str, "amplitude": float, "seed": int,
+                              "smooth": float, "path": str},
     },
-    "ensemble": _keys("paths seed workers"),
-    "output": _keys("directory stride save_snapshots write_csv"),
+    "noise": {"kind": str, "amplitude": float, "ratio": float, "max_k": int,
+              "flatness": float, "coefficient_files": [str], "tail_beyond_max_k": float},
+    "diagnostics": {
+        "test_functions": [{"name": str, "spatial": {"center": [float], "exponent": int},
+                            "temporal": {"a": float, "b": float, "ramp": float}}],
+        "events": [{"kind": str, "at": float, "q": float}],
+        "supermartingale": {"s": float, "t": float},
+        "lei_xi": [str],
+        "vorticity": {"delta": float},
+        "dissipation": {"ell_values": [float], "alpha_kind": str},
+    },
+    "ensemble": {"paths": int, "seed": int, "workers": int},
+    "output": {"directory": str, "stride": int, "save_snapshots": bool, "write_csv": bool},
+}
+
+# The keys each block must set, by the block's path without list indices. A
+# key required only with another key's value is checked by its reader.
+REQUIRED = {
+    "": "schema_version run ensemble output", "run": "nu epsilon dt t_end m",
+    "noise": "kind", "ensemble": "paths seed", "output": "directory",
+    "diagnostics.test_functions.spatial": "exponent",
+    "diagnostics.test_functions.temporal": "a b ramp", "diagnostics.events": "kind",
+    "diagnostics.supermartingale": "s t", "diagnostics.dissipation": "ell_values",
 }
 
 # Keys that older configs carry and nothing reads any more: accepted, ignored.
 RETIRED_KEYS = frozenset({"diagnostics.dissipation.quadrature"})
 
 
-def _check_keys(block, schema: dict, where: str):
-    """Reject a key the schema does not name, so a misspelt option fails here
-    instead of silently falling back to its default."""
-    if not isinstance(block, dict):
-        return  # the block's reader reports a wrong type
-    for key, val in block.items():
-        path = f"{where}.{key}" if where else key
-        if key not in schema:
-            if path not in RETIRED_KEYS:
-                raise ConfigurationError(f"{where or 'config'}: unknown key {key!r}")
-            continue
-        sub = schema[key]
-        if isinstance(sub, list):
-            for i, item in enumerate(val if isinstance(val, list) else []):
-                _check_keys(item, sub[0], f"{path}[{i}]")
-        elif sub is not None:
-            _check_keys(val, sub, path)
+def _typed(val, schema, where: str, path: str):
+    """``val`` checked against ``schema``: floats as float, lists as tuples,
+    retired keys dropped. ``where`` names the value in messages, ``path`` is
+    its schema path (no list indices). A misspelt key, a missing required key
+    or a value of the wrong JSON type fails here, before any reader runs."""
+    kind = type(schema) if isinstance(schema, (dict, list)) else schema
+    if isinstance(val, bool) != (kind is bool) or not isinstance(
+            val, (int, float) if kind is float else kind):
+        got = {dict: "object", type(None): "null"}.get(type(val), type(val).__name__)
+        raise ConfigurationError(
+            f"{where}: expected {'object' if kind is dict else kind.__name__}, got {got}")
+    if kind is list:
+        return tuple(_typed(v, schema[0], f"{where}[{i}]", path) for i, v in enumerate(val))
+    if kind is not dict:
+        return float(val) if kind is float else val
+    out = {}
+    for key, sub in val.items():
+        key_path = f"{path}.{key}".lstrip(".")
+        if key in schema:
+            out[key] = _typed(sub, schema[key], f"{where}.{key}".lstrip("."), key_path)
+        elif key_path not in RETIRED_KEYS:
+            raise ConfigurationError(f"{where or 'config'}: unknown key {key!r}")
+    for key in REQUIRED.get(path, "").split():
+        if key not in val:
+            raise ConfigurationError(f"{where}.{key}".lstrip(".") + ": missing")
+    return out
+
+
+def _given(block: dict, names: str) -> dict:
+    """The named keys ``block`` sets, as keyword arguments ("key:param" passes
+    key as param): each key left unset takes its constructor's default."""
+    pairs = (name.partition(":") for name in names.split())
+    return {param or key: block[key] for key, _, param in pairs if key in block}
 
 
 def _check_exact_grid(name: str, exponent: int, grid: Grid):
@@ -125,7 +142,8 @@ def _read_spectrum(where: str, path: str, grid: Grid):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    raw: dict
+    raw: dict  # the document as given (canonical JSON): digests and manifests
+    doc: dict = field(compare=False, repr=False)  # the same, checked by ``_typed``
 
     # ---- construction --------------------------------------------------------
 
@@ -133,16 +151,10 @@ class ExperimentConfig:
     def parse(cls, doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ConfigurationError("config root must be an object")
-        version = doc.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ConfigurationError(
-                f"schema_version: expected {SCHEMA_VERSION}, got {version!r}"
-            )
-        for block in ("run", "ensemble", "output"):
-            if block not in doc:
-                raise ConfigurationError(f"{block}: missing block")
-        _check_keys(doc, SCHEMA, "")
-        cfg = cls(raw=json.loads(canonical_json(doc)))
+        if (version := doc.get("schema_version")) != SCHEMA_VERSION:
+            raise ConfigurationError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
+        raw = json.loads(canonical_json(doc))
+        cfg = cls(raw=raw, doc=_typed(raw, SCHEMA, "", ""))
         # eager validation of every cross-referenced object
         cfg.run_params(path_id=0)
         cfg.noise_model()
@@ -163,52 +175,36 @@ class ExperimentConfig:
     # ---- blocks --------------------------------------------------------------
 
     def grid(self) -> Grid:
-        run = self.raw["run"]
-        m = _need(run, "m", int, "run")
-        cutoff = _opt(run, "dealias_cutoff", -1)
-        return Grid(m, cutoff)
+        return Grid(**_given(self.doc["run"], "m dealias_cutoff"))
 
     def run_params(self, path_id: int) -> RunParams:
-        run = self.raw["run"]
-        ens = self.raw["ensemble"]
         return RunParams(
-            nu=_need(run, "nu", float, "run"),
-            epsilon=_need(run, "epsilon", float, "run"),
-            dt=_need(run, "dt", float, "run"),
-            t_end=_need(run, "t_end", float, "run"),
+            **_given(self.doc["run"], "nu epsilon dt t_end scheme mollifier_kind"),
             grid=self.grid(),
-            seed=_need(ens, "seed", int, "ensemble"),
+            seed=self.doc["ensemble"]["seed"],
             path_id=path_id,
-            scheme=_opt(run, "scheme", "em_semi_implicit"),
-            mollifier_kind=_opt(run, "mollifier_kind", "paper_bump"),
-            stride=_opt(self.raw["output"], "stride", 1),
+            **_given(self.doc["output"], "stride"),
         )
 
     def noise_model(self) -> NoiseModel | None:
-        block = self.raw.get("noise")
-        if block is None:
+        block = self.doc.get("noise")
+        if block is None or block["kind"] == "off":
             return None
-        kind = _need(block, "kind", str, "noise")
-        if kind == "off":
-            return None
+        kind = block["kind"]
         if kind not in NOISE_KINDS:
             raise ConfigurationError(f"noise.kind: unknown family {kind!r}")
-        coefficient_files = block.get("coefficient_files")
-        if coefficient_files is not None:
-            return self._noise_from_files(kind, coefficient_files, block)
-        return make_noise_model(
-            self.grid(), kind,
-            amplitude=_need(block, "amplitude", float, "noise"),
-            ratio=_opt(block, "ratio", 0.5),
-            max_k=_opt(block, "max_k", 64),
-            flatness=_opt(block, "flatness", 0.5),
-        )
+        if "coefficient_files" in block:
+            return self._noise_from_files(kind, block)
+        if "amplitude" not in block:
+            raise ConfigurationError("noise.amplitude: missing")
+        return make_noise_model(self.grid(), kind,
+                                **_given(block, "amplitude ratio max_k flatness"))
 
-    def _noise_from_files(self, kind, files, block) -> NoiseModel:
+    def _noise_from_files(self, kind, block) -> NoiseModel:
         grid = self.grid()
         want_scalar = kind == "linear_multiplicative"
         fields = []
-        for i, f in enumerate(files):
+        for i, f in enumerate(block["coefficient_files"]):
             where = f"noise.coefficient_files[{i}] ({f})"
             fld = _read_spectrum(where, f, grid)
             if isinstance(fld, ScalarField) != want_scalar:
@@ -219,45 +215,34 @@ class ExperimentConfig:
             fields.append(fld)
         stored = {"scalar_fields" if want_scalar else "vector_fields": tuple(fields)}
         return NoiseModel(kind, grid, len(fields), **stored, decay_note="loaded from files",
-                          tail_beyond_max_k=_opt(block, "tail_beyond_max_k", 0.0))
+                          **_given(block, "tail_beyond_max_k"))
 
     def diagnostics(self) -> dict:
-        return self.raw.get("diagnostics", {})
+        return self.doc.get("diagnostics", {})
 
     def test_functions(self) -> dict[str, TestFunction]:
         out = {}
-        t_end = self.raw["run"]["t_end"]
-        specs = self.diagnostics().get("test_functions", [])
-        for i, spec in enumerate(specs):
+        t_end = self.doc["run"]["t_end"]
+        for i, spec in enumerate(self.diagnostics().get("test_functions", ())):
             name = spec.get("name", f"phi{i}")
-            spatial = None
+            spatial = temporal = None
             if "spatial" in spec:
-                sp = spec["spatial"]
-                spatial = SpatialBump(
-                    center=tuple(_opt(sp, "center", (0.5, 0.5, 0.5))),
-                    exponent=_need(sp, "exponent", int, f"test_functions[{i}].spatial"),
-                )
+                spatial = SpatialBump(**spec["spatial"])
                 _check_exact_grid(name, spatial.exponent, self.grid())
-            temporal = None
             if "temporal" in spec:
                 tp = spec["temporal"]
-                a = _need(tp, "a", float, f"test_functions[{i}].temporal")
-                b = _need(tp, "b", float, f"test_functions[{i}].temporal")
-                if not (0.0 <= a < b <= t_end):
+                if not (0.0 <= tp["a"] < tp["b"] <= t_end):
                     raise ConfigurationError(
-                        f"test_functions[{i}].temporal: support ({a}, {b}) not inside (0, {t_end})"
+                        f"test_functions[{i}].temporal: support ({tp['a']}, {tp['b']}) "
+                        f"not inside (0, {t_end})"
                     )
-                temporal = TemporalWindow(a, b, _need(tp, "ramp", float,
-                                                      f"test_functions[{i}].temporal"))
+                temporal = TemporalWindow(**tp)
             out[name] = TestFunction(spatial, temporal, label=name)
         return out
 
     def events(self) -> list[Event]:
-        out = []
-        for i, spec in enumerate(self.diagnostics().get("events", [{"kind": "all"}])):
-            kind = _need(spec, "kind", str, f"events[{i}]")
-            out.append(Event(kind, at=_opt(spec, "at", 0.0), q=_opt(spec, "q", 0.5)))
-        return out
+        specs = self.diagnostics().get("events")
+        return [Event()] if specs is None else [Event(**spec) for spec in specs]
 
     def supermartingale_window(self) -> tuple[float, float] | None:
         """The (s, t) of the supermartingale test, checked against the step
@@ -266,39 +251,23 @@ class ExperimentConfig:
         block = self.diagnostics().get("supermartingale")
         if block is None:
             return None
-        s, t = (_need(block, key, float, "diagnostics.supermartingale") for key in "st")
+        s, t = block["s"], block["t"]
         p = self.run_params(path_id=0)
         window_indices(np.arange(p.n_steps + 1) * p.dt, s, t, events)
         return s, t
-
-    def dr_config(self) -> DRConfig | None:
-        block = self.diagnostics().get("dissipation")
-        if block is None:
-            return None
-        cfg = DRConfig(
-            ell_values=tuple(_need(block, "ell_values", list, "diagnostics.dissipation")),
-            alpha_kind=_opt(block, "alpha_kind", "paper_bump"),
-        )
-        cfg.validate_resolution(self.grid())
-        return cfg
-
-    def h_function(self) -> HFunction | None:
-        block = self.diagnostics().get("vorticity")
-        if block is None:
-            return None
-        return HFunction(_opt(block, "delta", 0.5))
 
     def ledgers(self) -> list:
         """The ledger plan: fresh ledgers for one path, in record order (one
         energy ledger per test function, then vorticity, then dissipation
         paired with the first test function)."""
+        diag = self.diagnostics()
         phis = list(self.test_functions().values())
         out = [EnergyLedger(phi) for phi in phis]
-        hf = self.h_function()
-        if hf is not None:
-            out.append(VorticityLedger(hf))
-        drc = self.dr_config()
-        if drc is not None:
+        if "vorticity" in diag:
+            out.append(VorticityLedger(HFunction(**diag["vorticity"])))
+        if "dissipation" in diag:
+            drc = DRConfig(**diag["dissipation"])
+            drc.validate_resolution(self.grid())
             if not phis:
                 raise ConfigurationError("diagnostics.dissipation: needs a test function")
             out.append(DRLedger(phis[0], drc))
@@ -313,33 +282,17 @@ class ExperimentConfig:
     def xi_functionals(self) -> dict:
         """The LEI path functionals named in diagnostics.lei_xi."""
         out = {}
-        for name in self.diagnostics().get("lei_xi", []):
+        for name in self.diagnostics().get("lei_xi", ()):
             if name not in XI_FUNCTIONALS:
                 raise ConfigurationError(f"diagnostics.lei_xi: unknown functional {name!r}")
             out[name] = XI_FUNCTIONALS[name]
         return out
 
     def ensemble_block(self) -> dict:
-        ens = self.raw["ensemble"]
-        return {
-            "paths": _need(ens, "paths", int, "ensemble"),
-            "seed": _need(ens, "seed", int, "ensemble"),
-            "workers": _opt(ens, "workers", 1),
-        }
+        return {"workers": 1, **self.doc["ensemble"]}
 
     def output_block(self) -> dict:
-        out = self.raw["output"]
-        return {
-            "directory": _need(out, "directory", str, "output"),
-            "stride": _opt(out, "stride", 1),
-            "save_snapshots": _opt(out, "save_snapshots", False),
-            "write_csv": _opt(out, "write_csv", True),
-        }
-
-    def initial_condition_spec(self) -> dict:
-        return self.raw["run"].get(
-            "initial_condition", {"kind": "taylor_green", "amplitude": 1.0}
-        )
+        return {"save_snapshots": False, "write_csv": True, **self.doc["output"]}
 
     # ---- provenance ---------------------------------------------------------
 
@@ -364,17 +317,17 @@ def canonical_json(doc: dict) -> str:
 
 def initial_field(cfg: ExperimentConfig):
     """Build the configured initial condition on the configured grid."""
-    spec = cfg.initial_condition_spec()
+    spec = cfg.doc["run"].get("initial_condition", {})
     grid = cfg.grid()
     kind = spec.get("kind", "taylor_green")
-    amp = float(spec.get("amplitude", 1.0))
     if kind == "taylor_green":
-        return taylor_green(grid, amp)
+        return taylor_green(grid, **_given(spec, "amplitude"))
     if kind == "random_solenoidal":
-        return random_solenoidal(grid, int(spec.get("seed", 7)), amp,
-                                 float(spec.get("smooth", 0.0)))
+        return random_solenoidal(grid, spec.get("seed", 7), **_given(spec, "amplitude:amp smooth"))
     if kind == "snapshot":
-        path = _need(spec, "path", str, "run.initial_condition")
+        if "path" not in spec:
+            raise ConfigurationError("run.initial_condition.path: missing")
+        path = spec["path"]
         fld = _read_spectrum(f"run.initial_condition.path: {path}", path, grid)
         if not isinstance(fld, SpectralField):
             raise ConfigurationError(

@@ -41,6 +41,7 @@ import scipy.fft as sfft
 
 from .energy import SupermartingaleReport, one_sided_test
 from .errors import ConfigurationError
+from .mollifier import KINDS as MOLLIFIER_KINDS
 from .mollifier import bump_mass, multiplier_on_modes
 from .persist import atomic_write_json
 from .spectral import Grid, ScalarField, SpectralField, synthesize
@@ -64,6 +65,8 @@ class DRConfig:
             raise ConfigurationError("ell values must be strictly decreasing")
         if max(e) > 0.25:
             raise ConfigurationError("largest ell must not exceed 1/4 (kernel support)")
+        if self.alpha_kind not in MOLLIFIER_KINDS:
+            raise ConfigurationError(f"unknown alpha_kind {self.alpha_kind!r}")
 
     def validate_resolution(self, grid: Grid):
         for v in self.ell_values:

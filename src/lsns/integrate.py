@@ -43,6 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BlowUpError, ConfigurationError
+from .mollifier import KINDS as MOLLIFIER_KINDS
 from .mollifier import make_mollifier, mollify
 from .noise import NoiseModel, TruncationLevel
 from .rng import BrownianIncrements
@@ -102,6 +103,8 @@ class RunParams:
             raise ConfigurationError("horizon T must be an integer multiple of dt")
         if self.scheme not in SCHEMES:
             raise ConfigurationError(f"unknown scheme {self.scheme!r}")
+        if self.mollifier_kind not in MOLLIFIER_KINDS:
+            raise ConfigurationError(f"unknown mollifier_kind {self.mollifier_kind!r}")
         if self.stride < 1:
             raise ConfigurationError("stride must be >= 1")
         if self.scheme == "em_explicit":
